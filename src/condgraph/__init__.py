@@ -21,10 +21,11 @@ from .conduction import (ConductionGraph, DeviceVerdict, NullitySignature,
                          Rule, booleanise, conduction_graph,
                          conduction_graph_nullity1_blocks, device_verdict,
                          graph_nullity, nullity_signature)
-from .classify import (ClassCode, ClassificationReport, class_code,
-                       classification_report, conduction_isomorphism,
-                       cubic_degree_theorem_check, is_conduction_isomorphic,
-                       is_ipso_omni_insulator, is_nut, is_uniform_core_graph)
+from .classify import (ClassCode, ClassificationReport, TheoremCheckError,
+                       class_code, classification_report,
+                       conduction_isomorphism, cubic_degree_theorem_check,
+                       is_conduction_isomorphic, is_ipso_omni_insulator, is_nut,
+                       is_uniform_core_graph)
 from .isomorphism import (CanonicalData, are_isomorphic, automorphism_orbits,
                           canonical_form, canonical_labeling, find_isomorphism,
                           verify_witness)

@@ -19,13 +19,12 @@ interrupted runs resume without recomputation.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classify import classification_report, conduction_isomorphism
+from .classify import check_theorem, classification_report, conduction_isomorphism
 from .graphs import (Graph, Graph6Error, from_graph6, is_bipartite, is_chemical,
                      is_connected, to_graph6)
 from .isomorphism import canonical_data, canonical_form
@@ -331,9 +330,11 @@ def run_census(source, record_all: bool = False, on_skip=None):
             rec = census_record(g)
             if cond_iso:
                 # Corollary chain for every positive
-                assert rec.nullity == 0 and rec.ipso_omni_ins
-                assert sorted(g.degree(v) for v in range(g.n)) == \
-                    sorted(g.degree(witness[v]) for v in range(g.n))
+                check_theorem(rec.nullity == 0 and rec.ipso_omni_ins,
+                              f"positive {rec.graph6} is singular or looped")
+                check_theorem(sorted(g.degree(v) for v in range(g.n)) ==
+                              sorted(g.degree(witness[v]) for v in range(g.n)),
+                              f"witness of {rec.graph6} changes degrees")
             records.append(rec)
     records.sort(key=lambda r: (r.n, r.graph6))
     return summary, records
@@ -368,9 +369,11 @@ class CensusStore:
     """Per-order census files in a directory.
 
     ``census_n<k>.csv`` accumulates records (header once), ``positives_n<k>.g6``
-    the conduction-isomorphic graphs, and ``manifest_n<k>.txt`` one line
-    ``shard_id,count,checksum`` per completed shard.  Re-running skips
-    completed shards; every shard's bytes are reproducible.
+    the conduction-isomorphic graphs, and ``manifest_n<k>.txt`` one line per
+    completed shard: ``shard_id,count,checksum`` followed by the shard's
+    summary rows, four fields ``order,total,cond_iso,cond_iso_nonbipartite``
+    per order.  Re-running skips completed shards and takes their totals
+    from the manifest; every shard's bytes are reproducible.
     """
 
     def __init__(self, outdir, n: int):
@@ -381,16 +384,27 @@ class CensusStore:
         self.sidecar_path = self.dir / f"positives_n{n}.g6"
         self.manifest_path = self.dir / f"manifest_n{n}.txt"
 
-    def completed_shards(self) -> set[int]:
+    def completed_summaries(self) -> dict[int, CensusSummary]:
+        """Each completed shard's id mapped to the summary it stored."""
         if not self.manifest_path.exists():
-            return set()
-        done = set()
+            return {}
+        done = {}
         for line in self.manifest_path.read_text().splitlines():
-            if line.strip():
-                done.add(int(line.split(",")[0]))
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            summary = CensusSummary()
+            rows = [int(x) for x in fields[3:]]
+            for i in range(0, len(rows) - 3, 4):
+                summary.counts[rows[i]] = rows[i + 1:i + 4]
+            done[int(fields[0])] = summary
         return done
 
-    def append_shard(self, shard: int, records, csv_text: str):
+    def completed_shards(self) -> set[int]:
+        return set(self.completed_summaries())
+
+    def append_shard(self, shard: int, records, csv_text: str,
+                     summary: CensusSummary):
         if not self.csv_path.exists():
             self.csv_path.write_text(CSV_HEADER + "\n")
         with open(self.csv_path, "a") as fh:
@@ -400,8 +414,11 @@ class CensusStore:
                 if rec.cond_iso:
                     fh.write(rec.graph6 + "\n")
         checksum = hashlib.sha256(csv_text.encode()).hexdigest()[:16]
+        fields = [shard, len(records), checksum]
+        for n in sorted(summary.counts):
+            fields += [n, *summary.row(n)]
         with open(self.manifest_path, "a") as fh:
-            fh.write(f"{shard},{len(records)},{checksum}\n")
+            fh.write(",".join(map(str, fields)) + "\n")
 
 
 def run_census_persistent(mode: str, n: int, outdir, shards: int = 4,
@@ -410,37 +427,29 @@ def run_census_persistent(mode: str, n: int, outdir, shards: int = 4,
     """Sharded, resumable census for one order; returns the merged summary.
 
     Shards are processed in increasing id order (in parallel when jobs > 1)
-    so completed output files are byte-stable across reruns.
+    so completed output files are byte-stable across reruns.  Shards that an
+    earlier run completed contribute the totals stored in the manifest.
     """
     if mode not in ("connected", "chemical"):
         raise ValueError("mode must be 'connected' or 'chemical'")
     store = CensusStore(outdir, n)
-    done = store.completed_shards()
+    done = store.completed_summaries()
+    summary = CensusSummary()
+    for part in done.values():
+        summary.merge(part)
     todo = [s for s in range(shards) if s not in done]
     args = [(mode, n, s, shards, record_all, source_path) for s in todo]
-    summary = CensusSummary()
     if jobs > 1 and len(args) > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
             for shard, part, records, csv_text in pool.imap(_shard_job, args):
                 summary.merge(part)
-                store.append_shard(shard, records, csv_text)
+                store.append_shard(shard, records, csv_text, part)
     else:
         for job in args:
             shard, part, records, csv_text = _shard_job(job)
             summary.merge(part)
-            store.append_shard(shard, records, csv_text)
-    return summary
-
-
-def read_summary(outdir, n: int) -> CensusSummary:
-    """Rebuild a summary from a completed per-order CSV (record_all runs)."""
-    store = CensusStore(outdir, n)
-    summary = CensusSummary()
-    with open(store.csv_path) as fh:
-        for row in csv.DictReader(fh):
-            summary.add(int(row["n"]), row["cond_iso"] == "1",
-                        row["cond_iso"] == "1" and row["bipartite"] == "0")
+            store.append_shard(shard, records, csv_text, part)
     return summary
 
 

@@ -17,13 +17,27 @@ from .graphs import (Graph, adjacency_matrix, bfs_distances, connected_component
 from .isomorphism import find_isomorphism
 
 
+class TheoremCheckError(RuntimeError):
+    """A result contradicted a theorem of the paper; indicates a bug.
+
+    Raised explicitly rather than by ``assert`` so that the check survives
+    ``python -O``; the command line maps it to exit code 3.
+    """
+
+
+def check_theorem(holds: bool, message: str):
+    if not holds:
+        raise TheoremCheckError(message)
+
+
 def is_ipso_omni_insulator(g: Graph) -> bool:
     """True when every ipso device insulates, i.e. the conduction graph is
-    loopless.  Only nullity-0 graphs can qualify; that is asserted."""
+    loopless.  Only nullity-0 graphs can qualify; that is checked."""
     cg = conduction_graph(g)
     if cg.graph.loops:
         return False
-    assert graph_nullity(g) == 0, "loopless conduction graph on a singular graph"
+    check_theorem(graph_nullity(g) == 0,
+                  "loopless conduction graph on a singular graph")
     return True
 
 
@@ -49,7 +63,7 @@ def is_uniform_core_graph(g: Graph) -> bool:
     nullities by one and the double deletion by two.
 
     Such graphs have a conduction graph of isolated looped vertices; that
-    consequence is asserted whenever the predicate holds.
+    consequence is checked whenever the predicate holds.
     """
     eta = graph_nullity(g)
     if eta < 2:
@@ -62,8 +76,8 @@ def is_uniform_core_graph(g: Graph) -> bool:
             if _sub_nullity(g, 1 << u | 1 << v) != eta - 2:
                 return False
     cg = conduction_graph(g)
-    assert cg.graph.loops == (1 << g.n) - 1 and cg.graph.edge_count() == 0, \
-        "uniform core graph without the nK1-loop conduction graph"
+    check_theorem(cg.graph.loops == (1 << g.n) - 1 and cg.graph.edge_count() == 0,
+                  "uniform core graph without the nK1-loop conduction graph")
     return True
 
 
@@ -152,6 +166,12 @@ def conduction_isomorphism(g: Graph) -> list[int] | None:
         rows, loops = inverse_conduction_pattern(g)
     except linalg.SingularMatrixError:
         return None
+    return _isomorphism_onto(g, rows, loops)
+
+
+def _isomorphism_onto(g: Graph, rows, loops: int) -> list[int] | None:
+    """Witness from g onto the conduction graph given by rows and loops,
+    after the loop, degree-sequence and connectivity screens."""
     if loops:
         return None
     if sorted(r.bit_count() for r in rows) != sorted(r.bit_count() for r in g.rows):
@@ -202,11 +222,12 @@ def classification_report(g: Graph) -> ClassificationReport:
     cg = conduction_graph(g)
     eta = graph_nullity(g)
     loopless = cg.graph.loops == 0
-    cond_iso = is_conduction_isomorphic(g)
+    cond_iso = _isomorphism_onto(g, cg.graph.rows, cg.graph.loops) is not None
     if cond_iso:
         # Corollary chain: conduction-isomorphic forces nullity 0 and an
         # ipso omni-insulator; a violation here is a bug, not data.
-        assert eta == 0 and loopless
+        check_theorem(eta == 0 and loopless,
+                      "conduction-isomorphic graph that is singular or looped")
     return ClassificationReport(
         nullity=eta,
         is_ipso_omni_insulator=loopless,

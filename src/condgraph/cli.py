@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 internal error, 2 input error, 3 verification
-failure (a --verify run that contradicts a theorem deserves loud attention).
+failure (a --verify run or a theorem check that fails deserves loud
+attention).
 
 graph6 cannot carry loops, so conduction graphs are printed as the graph6 of
 their simple part plus ";loops=" and an explicit vertex list.
@@ -337,6 +338,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
+    except classify_mod.TheoremCheckError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -10,14 +10,15 @@ transmission function: the device conducts if and only if the zero-root count
 of u*t - s*v equals twice the graph's nullity.
 
 The conduction graph collects every verdict: an edge per conducting distinct
-device, a loop per conducting ipso device.  Three construction routes exist
-and must agree:
+device, a loop per conducting single contact.  It is built by one of two
+routes, chosen by the nullity:
 
 * nullity 0: booleanise the exact inverse (equivalently, the adjugate, which
   shares its zero pattern and never leaves the integers);
-* nullity 1: forced block structure around the core vertices, with only
-  non-core pairs needing individual verdicts;
-* any nullity: the generic per-device selection-rule path.
+* any other nullity: walk every device through the selection rules.  The
+  walk skips the double deletion wherever the single-deletion shifts already
+  fix the row; in a nullity-1 graph that yields the block structure around
+  the core vertices (a looped clique with no edges to the rest) directly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class SignatureError(RuntimeError):
 
 
 class Rule(enum.Enum):
-    """Which selection-rule row (or fast path) produced a verdict.
+    """Which selection-rule row (or other route) produced a verdict.
 
     Distinct-device members are keyed by the nullity shifts of the deletions
     (G-u, G-v, G-u-v) relative to G, with the two single deletions sorted
@@ -56,7 +57,8 @@ class Rule(enum.Enum):
     I_UP = (1,)
     I_SAME = (0,)
     I_DOWN = (-1,)
-    # fast-path provenance (not selection-rule rows)
+    # provenance that is not a selection-rule row: the booleanised inverse,
+    # and the core/core pairs of a nullity-1 graph
     INVERSE_PATTERN = "inverse"
     NULLITY1_BLOCKS = "blocks"
 
@@ -193,16 +195,12 @@ def _jsquared(g: Graph, u: int, v: int) -> IntPolynomial:
     return uu * t - s * vv
 
 
-def _jtest_conducts(g: Graph, u: int, v: int, eta: int) -> bool:
-    # conducts iff the forced zero roots of u*t - s*v are not exceeded
-    p = _jsquared(g, u, v)
-    if p.is_zero():
-        return False
-    return p.trailing_zero_count() == 2 * eta
-
-
 def _make_jtester(g: Graph, eta: int):
-    """Equal-nullity resolver with lazy per-graph polynomial caching."""
+    """Equal-nullity resolver with lazy per-graph polynomial caching.
+
+    The device conducts iff the forced zero roots of u*t - s*v are not
+    exceeded, i.e. their count equals twice the graph's nullity.
+    """
     cache = {}
 
     def poly(dropped):
@@ -220,8 +218,7 @@ def _make_jtester(g: Graph, eta: int):
     return jtest
 
 
-def _verdict_from_signature(g, u, v, sig: NullitySignature,
-                            jtester=None) -> DeviceVerdict:
+def _verdict_from_signature(u, v, sig: NullitySignature, jtest) -> DeviceVerdict:
     deltas = sig.deltas()
     if sig.eta_guv is None:
         try:
@@ -234,18 +231,15 @@ def _verdict_from_signature(g, u, v, sig: NullitySignature,
     except KeyError:
         raise SignatureError(f"impossible distinct signature {sig}") from None
     if conducts is None:
-        if jtester is None:
-            conducts = _jtest_conducts(g, u, v, sig.eta_g)
-        else:
-            conducts = jtester(u, v)
-        return DeviceVerdict(conducts, Rule.EQUAL_NULLITY_JTEST)
+        return DeviceVerdict(jtest(u, v), Rule.EQUAL_NULLITY_JTEST)
     return DeviceVerdict(conducts, Rule(deltas))
 
 
 def device_verdict(g: Graph, u: int, v: int) -> DeviceVerdict:
     """Conducts/insulates at the Fermi level, with the rule that decided it."""
     _require_simple_connected(g)
-    return _verdict_from_signature(g, u, v, nullity_signature(g, u, v))
+    sig = nullity_signature(g, u, v)
+    return _verdict_from_signature(u, v, sig, _make_jtester(g, sig.eta_g))
 
 
 def _require_simple_connected(g: Graph):
@@ -259,49 +253,59 @@ def _require_simple_connected(g: Graph):
 # whole-graph construction
 # ---------------------------------------------------------------------------
 
-def conduction_graph(g: Graph, method: str = "auto") -> ConductionGraph:
+def conduction_graph(g: Graph) -> ConductionGraph:
     """Conduction graph of a connected simple graph.
 
-    ``method`` selects the construction route: "rules" always walks every
-    device through the selection rules; "inverse" requires nullity 0 and
-    booleanises the inverse; "blocks" requires nullity 1; "auto" picks the
-    cheapest valid route.  All routes agree (this is tested exhaustively).
+    A nonsingular graph booleanises its inverse; a singular one walks the
+    selection rules.  The walk agrees with :func:`device_verdict` on every
+    device, and with the inverse on every nonsingular graph (both tested
+    exhaustively on small orders).
     """
     _require_simple_connected(g)
-    if method == "rules":
-        return _conduction_by_rules(g)
-    eta = graph_nullity(g)
-    if method == "inverse" or (method == "auto" and eta == 0):
-        if eta != 0:
-            raise SingularMatrixError(eta)
+    try:
         return _conduction_by_inverse(g)
-    if method == "blocks" or (method == "auto" and eta == 1):
-        if eta != 1:
-            raise ValueError(f"block construction needs nullity 1, got {eta}")
-        return _conduction_by_blocks(g)
-    if method == "auto":
+    except SingularMatrixError:
         return _conduction_by_rules(g)
-    raise ValueError(f"unknown method {method!r}")
+
+
+# single-deletion shifts (sorted descending) that fit exactly one table row
+_FORCED_ROW = {(1, -1): (1, -1, 0), (0, -1): (0, -1, -1)}
 
 
 def _conduction_by_rules(g: Graph) -> ConductionGraph:
+    """Every device through the selection rules.
+
+    eta(G-u-v) is computed only where the single-deletion shifts leave the
+    row open.  A core/non-core pair, shifts (1,-1) or (0,-1), fits one row,
+    and both such rows insulate.  A core/core pair of a nullity-1 graph,
+    shifts (-1,-1), conducts, because the insulating row would need
+    eta(G-u-v) = -1; that verdict is recorded as ``Rule.NULLITY1_BLOCKS``.
+    """
     n = g.n
     eta = graph_nullity(g)
-    eta_minus = [_sub_nullity(g, 1 << v) for v in range(n)]
-    jtester = _make_jtester(g, eta)
+    shift = [_sub_nullity(g, 1 << v) - eta for v in range(n)]
+    jtest = _make_jtester(g, eta)
     verdicts = {}
     rows = [0] * n
     loops = 0
     for u in range(n):
-        sig = NullitySignature(eta, eta_minus[u], eta_minus[u], None)
-        dv = _verdict_from_signature(g, u, u, sig)
+        sig = NullitySignature(eta, eta + shift[u], eta + shift[u], None)
+        dv = _verdict_from_signature(u, u, sig, jtest)
         verdicts[(u, u)] = dv
         if dv.conducts:
             loops |= 1 << u
         for v in range(u + 1, n):
-            sig = NullitySignature(eta, eta_minus[u], eta_minus[v],
-                                   _sub_nullity(g, 1 << u | 1 << v))
-            dv = _verdict_from_signature(g, u, v, sig, jtester)
+            pair = (shift[u], shift[v]) if shift[u] >= shift[v] \
+                else (shift[v], shift[u])
+            row = _FORCED_ROW.get(pair)
+            if row is not None:
+                dv = DeviceVerdict(_DISTINCT_VERDICT[row], Rule(row))
+            elif pair == (-1, -1) and eta == 1:
+                dv = DeviceVerdict(True, Rule.NULLITY1_BLOCKS)
+            else:
+                sig = NullitySignature(eta, eta + shift[u], eta + shift[v],
+                                       _sub_nullity(g, 1 << u | 1 << v))
+                dv = _verdict_from_signature(u, v, sig, jtest)
             verdicts[(u, v)] = dv
             if dv.conducts:
                 rows[u] |= 1 << v
@@ -313,12 +317,13 @@ def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
     """Adjacency rows and loop mask of the conduction graph, nullity-0 route.
 
     Works on the adjugate, whose zero pattern equals the inverse's, so the
-    whole computation stays in the integers.
+    whole computation stays in the integers.  One elimination decides
+    singularity and, for a singular graph, the nullity it raises with.
     """
     a = adjacency_matrix(g)
-    d = linalg.det(a)
-    if d == 0:
-        raise SingularMatrixError(linalg.nullity(a))
+    r = linalg.rank(a)
+    if r < g.n:
+        raise SingularMatrixError(g.n - r)
     adj = linalg.adjugate(a)
     n = g.n
     rows = [0] * n
@@ -344,69 +349,6 @@ def _conduction_by_inverse(g: Graph) -> ConductionGraph:
     return ConductionGraph(Graph(g.n, rows, loops), verdicts)
 
 
-def _vertex_classes_nullity1(g: Graph):
-    """(core, middle, upper) vertex lists by the nullity shift of G-v."""
-    eta = graph_nullity(g)
-    if eta != 1:
-        raise ValueError(f"expected nullity 1, got {eta}")
-    core, middle, upper = [], [], []
-    for v in range(g.n):
-        shift = _sub_nullity(g, 1 << v) - eta
-        if shift == -1:
-            core.append(v)
-        elif shift == 0:
-            middle.append(v)
-        else:
-            upper.append(v)
-    return core, middle, upper
-
-
-def _conduction_by_blocks(g: Graph) -> ConductionGraph:
-    """Nullity-1 route: core vertices form a looped clique, are isolated from
-    the rest, and only non-core pairs need individual verdicts."""
-    core, middle, upper = _vertex_classes_nullity1(g)
-    n = g.n
-    eta = 1
-    eta_minus = [None] * n
-    for v in core:
-        eta_minus[v] = 0
-    for v in middle:
-        eta_minus[v] = 1
-    for v in upper:
-        eta_minus[v] = 2
-    jtester = _make_jtester(g, eta)
-    verdicts = {}
-    rows = [0] * n
-    loops = 0
-    core_set = set(core)
-    for u in range(n):
-        if u in core_set:
-            verdicts[(u, u)] = DeviceVerdict(True, Rule.NULLITY1_BLOCKS)
-            loops |= 1 << u
-        else:
-            sig = NullitySignature(eta, eta_minus[u], eta_minus[u], None)
-            dv = _verdict_from_signature(g, u, u, sig)
-            verdicts[(u, u)] = dv
-            if dv.conducts:
-                loops |= 1 << u
-        for v in range(u + 1, n):
-            u_core = u in core_set
-            v_core = v in core_set
-            if u_core and v_core:
-                dv = DeviceVerdict(True, Rule.NULLITY1_BLOCKS)
-            elif u_core != v_core:
-                dv = DeviceVerdict(False, Rule.NULLITY1_BLOCKS)
-            else:
-                sig = NullitySignature(eta, eta_minus[u], eta_minus[v],
-                                       _sub_nullity(g, 1 << u | 1 << v))
-                dv = _verdict_from_signature(g, u, v, sig)
-            verdicts[(u, v)] = dv
-            if dv.conducts:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return ConductionGraph(Graph(n, rows, loops), verdicts)
-
-
 @dataclass(frozen=True)
 class VertexClasses:
     core: tuple[int, ...]
@@ -415,8 +357,16 @@ class VertexClasses:
 
 
 def conduction_graph_nullity1_blocks(g: Graph):
-    """Core/middle/upper partition plus the conduction graph (nullity 1 only)."""
+    """Core/middle/upper partition plus the conduction graph (nullity 1 only).
+
+    The classes are the vertices whose deletion drops, keeps or raises the
+    nullity; the conduction graph is the selection-rule walk's.
+    """
     _require_simple_connected(g)
-    core, middle, upper = _vertex_classes_nullity1(g)
-    return VertexClasses(tuple(core), tuple(middle), tuple(upper)), \
-        _conduction_by_blocks(g)
+    eta = graph_nullity(g)
+    if eta != 1:
+        raise ValueError(f"expected nullity 1, got {eta}")
+    classes = ([], [], [])
+    for v in range(g.n):
+        classes[_sub_nullity(g, 1 << v)].append(v)  # eta(G-v) is 0, 1 or 2
+    return VertexClasses(*map(tuple, classes)), _conduction_by_rules(g)

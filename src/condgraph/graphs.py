@@ -359,12 +359,14 @@ def star_graph(leaves: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (short form, n <= 62, one graph per line)
+# graph6 codec (n <= 64, one graph per line)
 # ---------------------------------------------------------------------------
 #
-# Format: byte 0 is n+63; the upper triangle of the adjacency matrix follows
-# in column-major order x(0,1) x(0,2) x(1,2) x(0,3) ... packed into 6-bit
+# Format: a size header, then the upper triangle of the adjacency matrix in
+# column-major order x(0,1) x(0,2) x(1,2) x(0,3) ... packed into 6-bit
 # groups, most significant bit first, zero-padded, each group offset by 63.
+# The header is the byte n+63 for n <= 62 and, for 63 <= n <= 258047, the
+# byte 126 followed by n as three such 6-bit groups.
 
 def from_graph6(text: str | bytes) -> Graph:
     if isinstance(text, str):
@@ -378,22 +380,34 @@ def from_graph6(text: str | bytes) -> Graph:
         raise Graph6Error("empty graph6 string")
     head = data[0]
     if head == 126:
-        raise Graph6Error("long-form graph6 (n > 62) is not supported", 0)
-    if not 63 <= head <= 125:
-        raise Graph6Error(f"header byte {head} out of range 63..125", 0)
-    n = head - 63
+        size = data[1:4]
+        if len(size) < 3:
+            raise Graph6Error("truncated long-form size header", len(data))
+        n = 0
+        for k, byte in enumerate(size, start=1):
+            if not 63 <= byte <= 126:
+                raise Graph6Error(f"size byte {byte} out of range 63..126", k)
+            n = n << 6 | byte - 63
+        if n > MAX_VERTICES:
+            raise Graph6Error(f"graph6 order {n} exceeds {MAX_VERTICES}", 1)
+        start = 4
+    elif 63 <= head <= 125:
+        n = head - 63
+        start = 1
+    else:
+        raise Graph6Error(f"header byte {head} out of range 63..126", 0)
     if n == 0:
         raise Graph6Error("graph6 string encodes an empty vertex set", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - 1 < nbytes:
+    if len(data) - start < nbytes:
         raise Graph6Error(f"truncated: need {nbytes} data bytes for n={n}, "
-                          f"got {len(data) - 1}", len(data))
-    if len(data) - 1 > nbytes:
-        raise Graph6Error("trailing garbage after graph6 data", 1 + nbytes)
+                          f"got {len(data) - start}", len(data))
+    if len(data) - start > nbytes:
+        raise Graph6Error("trailing garbage after graph6 data", start + nbytes)
     rows = [0] * n
     bit = 0
-    for k, byte in enumerate(data[1:], start=1):
+    for k, byte in enumerate(data[start:], start=start):
         if not 63 <= byte <= 126:
             raise Graph6Error(f"data byte {byte} out of range 63..126", k)
         group = byte - 63
@@ -422,9 +436,10 @@ def _triangle_coords(bit: int) -> tuple[int, int]:
 def to_graph6(g: Graph) -> str:
     if g.loops:
         raise Graph6Error("graphs with loops are not representable in graph6")
-    if g.n > 62:
-        raise Graph6Error(f"short-form graph6 requires n <= 62, got {g.n}")
-    out = [g.n + 63]
+    if g.n <= 62:
+        out = [g.n + 63]
+    else:
+        out = [126, (g.n >> 12) + 63, (g.n >> 6 & 63) + 63, (g.n & 63) + 63]
     group = 0
     filled = 0
     for j in range(1, g.n):

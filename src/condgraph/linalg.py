@@ -34,45 +34,19 @@ class SingularMatrixError(ValueError):
 # fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def det(a) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def _echelon(a):
+    """Fraction-free (Bareiss) row echelon form with column skipping.
 
-    Intermediate values are minors of the input, so they stay modest for the
-    +-1 matrices seen here; all divisions are exact.
+    Returns (rows, pivots, sign): the eliminated rows, the (row, col) pivot
+    positions in order, and the sign of the row permutation.  Intermediate
+    values are minors of the input, so they stay modest for the +-1
+    matrices seen here; all divisions are exact.
     """
-    n = len(a)
     m = [list(row) for row in a]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
     sign = 1
-    prev = 1
-    for c in range(n):
-        p = None
-        for r in range(c, n):
-            if m[r][c]:
-                p = r
-                break
-        if p is None:
-            return 0
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            sign = -sign
-        pivot = m[c][c]
-        for r in range(c + 1, n):
-            mrc = m[r][c]
-            row_r = m[r]
-            row_c = m[c]
-            for j in range(c + 1, n):
-                row_r[j] = (pivot * row_r[j] - mrc * row_c[j]) // prev
-            row_r[c] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1] if n else 1
-
-
-def rank(a) -> int:
-    """Rank of an integer matrix, fraction-free with column skipping."""
-    if not a:
-        return 0
-    m = [list(row) for row in a]
-    nrows, ncols = len(m), len(m[0])
     prev = 1
     r = 0
     for c in range(ncols):
@@ -87,17 +61,33 @@ def rank(a) -> int:
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
+            sign = -sign
         pivot = m[r][c]
+        row_r = m[r]
         for i in range(r + 1, nrows):
             mic = m[i][c]
             row_i = m[i]
-            row_r = m[r]
             for j in range(c + 1, ncols):
                 row_i[j] = (pivot * row_i[j] - mic * row_r[j]) // prev
             row_i[c] = 0
         prev = pivot
+        pivots.append((r, c))
         r += 1
-    return r
+    return m, pivots, sign
+
+
+def det(a) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m, pivots, sign = _echelon(a)
+    return sign * m[n - 1][n - 1] if len(pivots) == n else 0
+
+
+def rank(a) -> int:
+    """Rank of an integer matrix, fraction-free with column skipping."""
+    return len(_echelon(a)[1])
 
 
 def nullity(a) -> int:
@@ -115,33 +105,7 @@ def kernel_basis(a) -> list[list[int]]:
     empty when the matrix is nonsingular.
     """
     n = len(a)
-    m = [list(row) for row in a]
-    pivots = []  # (row, col)
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == n:
-            break
-        p = None
-        for i in range(r, n):
-            if m[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, n):
-            mic = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c + 1, n):
-                row_i[j] = (pivot * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        pivots.append((r, c))
-        r += 1
+    m, pivots, _ = _echelon(a)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(n):
@@ -266,12 +230,6 @@ def char_poly(a) -> "IntPolynomial":
 def adjugate(a) -> list[list[int]]:
     """Transpose of the cofactor matrix; satisfies A adj(A) = det(A) I."""
     return char_poly_and_adjugate(a)[1]
-
-
-def _mat_mul_int(a, b):
-    n = len(a)
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------

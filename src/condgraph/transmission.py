@@ -9,10 +9,12 @@ minus each contact, and the graph minus both, and b is the squared coupling
 parameter.  The numerator u t - s v is the square of an integer polynomial;
 the exact square root check lives with the polynomials.
 
-Evaluation away from E = 0 is plain floating point.  At E = 0 both numerator
-and denominator can vanish to high order, so the limit is taken by stripping
-the shared power of E exactly (the coupling is made an exact rational first)
-and only then evaluating.
+Evaluation is exact up to one final rounding.  With b = p/q, numerator and
+denominator are scaled by q^2 into integer polynomials and their common power
+of E is stripped, which also takes the limit at E = 0.  A float energy is a
+dyadic rational, so both polynomials are evaluated there exactly with integer
+Horner steps, and only their ratio is rounded to a float.  A sample whose
+denominator is exactly zero is excluded.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from fractions import Fraction
 from .conduction import _require_simple_connected, _sub_char_poly
 from .graphs import Graph
 from .linalg import IntPolynomial
-
-DENOM_FLOOR = 1e-300  # below this the sample is excluded, not infinite
 
 
 @dataclass(frozen=True)
@@ -51,73 +51,43 @@ def device_polynomials(g: Graph, left: int, right: int) -> DevicePolynomials:
     return DevicePolynomials(s, t, u, v, u * t - s * v)
 
 
-def _fermi_limit(dp: DevicePolynomials, beta_sq) -> float | None:
-    """T in the limit E -> 0: strip the common power of E exactly, then
-    evaluate.  None marks an excluded (vanishing-denominator) point."""
-    b = Fraction(beta_sq)
-    num = [4 * b * c for c in dp.jsq.coeffs]
-    s, v, t, u = dp.s.coeffs, dp.v.coeffs, dp.t.coeffs, dp.u.coeffs
-    sv = [Fraction(c) for c in s]
-    for i, c in enumerate(v):
-        sv[i] -= b * c
-    tu = [Fraction(c) for c in (t if len(t) >= len(u) else u)]
-    shorter = u if len(t) >= len(u) else t
-    for i, c in enumerate(shorter):
-        tu[i] += c
-    den = _poly_add(_poly_mul(sv, sv), [b * c for c in _poly_mul(tu, tu)])
-    m_num = _trailing(num)
-    m_den = _trailing(den)
-    if m_den is None:  # identically vanishing denominator: excluded
+def _rational_T(dp: DevicePolynomials, beta_sq) -> tuple[IntPolynomial, IntPolynomial]:
+    """Numerator and denominator of T as integer polynomials without a
+    common power of E."""
+    if beta_sq <= 0:
+        raise ValueError("beta_sq must be positive")
+    p, q = Fraction(beta_sq).as_integer_ratio()
+    num = dp.jsq * (4 * p * q)
+    sv = dp.s * q - dp.v * p
+    tu = dp.t + dp.u
+    den = sv * sv + tu * tu * (p * q)
+    strip = min((x.trailing_zero_count() for x in (num, den) if not x.is_zero()),
+                default=0)
+    return num.shift(-strip), den.shift(-strip)
+
+
+def _homogeneous(poly: IntPolynomial, a: int, d: int, degree: int) -> int:
+    """d**degree * poly(a/d) as an exact integer (degree >= poly.degree)."""
+    acc = 0
+    scale = 1
+    for c in reversed(poly.coeffs):
+        acc = acc * a + c * scale
+        scale *= d
+    return acc * d ** (degree - poly.degree)
+
+
+def _evaluate(num: IntPolynomial, den: IntPolynomial, energy) -> float | None:
+    a, d = Fraction(energy).as_integer_ratio()
+    degree = max(num.degree, den.degree)
+    bottom = _homogeneous(den, a, d, degree)
+    if bottom == 0:
         return None
-    if m_num is None:
-        return 0.0
-    strip = min(m_num, m_den)
-    num_val = num[strip] if strip < len(num) and strip == m_num else Fraction(0)
-    den_val = den[strip] if strip == m_den else Fraction(0)
-    if den_val == 0:
-        return None
-    return float(num_val / den_val)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def _trailing(coeffs):
-    for i, c in enumerate(coeffs):
-        if c:
-            return i
-    return None
+    return _homogeneous(num, a, d, degree) / bottom
 
 
 def evaluate_T(dp: DevicePolynomials, beta_sq: float, energy: float) -> float | None:
     """Transmission at one energy; None when the sample is excluded."""
-    if beta_sq <= 0:
-        raise ValueError("beta_sq must be positive")
-    if energy == 0:
-        return _fermi_limit(dp, beta_sq)
-    s = dp.s(energy)
-    t = dp.t(energy)
-    u = dp.u(energy)
-    v = dp.v(energy)
-    den = (s - v * beta_sq) ** 2 + (t + u) ** 2 * beta_sq
-    if abs(den) < DENOM_FLOOR:
-        return None
-    return 4.0 * dp.jsq(energy) * beta_sq / den
+    return _evaluate(*_rational_T(dp, beta_sq), energy)
 
 
 @dataclass(frozen=True)
@@ -141,11 +111,12 @@ def sweep(dp: DevicePolynomials, beta_sq: float, e_min: float, e_max: float,
         raise ValueError("steps must be >= 2")
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
+    num, den = _rational_T(dp, beta_sq)
     samples = []
     excluded = []
     for i in range(steps):
         e = e_min + (e_max - e_min) * i / (steps - 1)
-        t = evaluate_T(dp, beta_sq, e)
+        t = _evaluate(num, den, e)
         if t is None:
             excluded.append(e)
         else:

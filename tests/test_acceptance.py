@@ -3,7 +3,7 @@
 Run `pytest tests/test_acceptance.py -v -s` to watch the per-criterion lines
 with timings.  Everything is exact unless a tolerance is stated inline.
 The heavyweight entries are criterion 5 (all nonsingular graphs on up to 8
-vertices through both conduction routes), criterion 9 (every graph on up to
+vertices through the selection-rule walk and the inverse), criterion 9 (every graph on up to
 9 vertices), and criterion 6 (cubic graphs on up to 14 vertices).
 """
 
@@ -17,8 +17,9 @@ from condgraph.census import (enumerate_chemical, enumerate_connected,
                               run_census)
 from condgraph.classify import (conduction_isomorphism, cubic_degree_theorem_check,
                                 is_conduction_isomorphic)
-from condgraph.conduction import (booleanise, conduction_graph, device_verdict,
-                                  graph_nullity, nullity_signature)
+from condgraph.conduction import (_conduction_by_rules, booleanise,
+                                  conduction_graph, device_verdict, graph_nullity,
+                                  nullity_signature)
 from condgraph.families import (appendix_family_graph, appendix_witness,
                                 canonical_double_cover, cdc_witness, corona,
                                 corona_spectrum, corona_witness,
@@ -147,7 +148,7 @@ def test_criterion_05_inverse_oracle_equivalence():
                 a = adjacency_matrix(g)
                 if det(a) == 0:
                     continue
-                by_rules = conduction_graph(g, method="rules").graph
+                by_rules = _conduction_by_rules(g).graph
                 by_inverse = graph_from_adjacency(booleanise(inverse(a)))
                 assert by_rules == by_inverse, g
                 checked += 1
@@ -229,9 +230,15 @@ def test_criterion_09_nut_characterisation():
                 adj = adjugate(a)
                 adjugate_full = all(adj[i][i] != 0 for i in range(n))
                 assert full_kernel == adjugate_full, g
-                by_rules = conduction_graph(g, method="rules").graph
-                # the block fast path must agree with the generic route
-                assert conduction_graph(g, method="blocks").graph == by_rules, g
+                by_rules = conduction_graph(g).graph
+                # the walk decides core pairs without a double deletion; the
+                # rank-one adjugate, nonzero exactly on core x core, is an
+                # independent oracle for the core rows
+                walk = adjacency_matrix(by_rules)
+                pattern = booleanise(adj)
+                for i in range(n):
+                    if adj[i][i]:
+                        assert walk[i] == pattern[i], (g, i)
                 connected = len(connected_components(by_rules)) == 1
                 assert connected == full_kernel, g
                 if full_kernel and n >= 7:

@@ -128,15 +128,20 @@ def test_persistent_census_and_resume(tmp_path):
     assert store.completed_shards() == {0, 1, 2}
     csv_bytes = store.csv_path.read_bytes()
     manifest = store.manifest_path.read_bytes()
-    # a re-run skips everything and leaves files untouched
+    # a re-run skips everything, leaves files untouched and reports the
+    # totals stored in the manifest
     s2 = run_census_persistent("connected", 5, outdir, shards=3)
-    assert s2.counts == {}
+    assert s2.counts == {5: [21, 0, 0]}
     assert store.csv_path.read_bytes() == csv_bytes
     assert store.manifest_path.read_bytes() == manifest
-    # manifest rows are shard,count,checksum
+    # manifest rows are shard,count,checksum,order,total,cond_iso,nonbipartite
+    totals = 0
     for line in manifest.decode().splitlines():
-        shard, count, checksum = line.split(",")
+        shard, count, checksum, order, total, ci, nb = line.split(",")
         assert int(shard) in (0, 1, 2) and int(count) >= 0 and len(checksum) == 16
+        assert int(order) == 5 and (int(ci), int(nb)) == (0, 0)
+        totals += int(total)
+    assert totals == 21
 
 
 def test_persistent_census_partial_resume(tmp_path):
@@ -153,8 +158,8 @@ def test_persistent_census_partial_resume(tmp_path):
     s = run_census_persistent("connected", 6, outdir, shards=4)
     assert store.csv_path.read_text() == full
     assert store.completed_shards() == {0, 1, 2, 3}
-    # the resumed run only counted the reprocessed shards
-    assert s.row(6)[0] < 112
+    # the completed shard's totals come from the manifest
+    assert s.row(6) == (112, 4, 2)
 
 
 def test_persistent_census_parallel(tmp_path):

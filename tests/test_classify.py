@@ -1,7 +1,13 @@
 """Conduction classes, codes and conduction-isomorphism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import condgraph
 from condgraph.classify import (class_code, classification_report,
                                 conduction_isomorphism, cubic_degree_theorem_check,
                                 is_conduction_isomorphic, is_ipso_omni_insulator,
@@ -117,3 +123,26 @@ def test_classification_report_fields():
     assert rep.component_count == 2
     assert rep.loop_count == 4
     assert rep.code.two_letter.endswith("2")
+
+
+def test_theorem_check_survives_optimisation(tmp_path):
+    # a bare assert vanishes under -O; the check must still stop the CLI with
+    # exit code 3.  P4 is conduction-isomorphic, and a faked nullity of 1
+    # contradicts the corollary chain in classification_report.
+    path = tmp_path / "in.g6"
+    path.write_text("Ch\n")
+    script = (
+        "import sys\n"
+        "import condgraph.classify as c\n"
+        "from condgraph.cli import main\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(99)\n"
+        "c.graph_nullity = lambda g: 1\n"
+        f"raise SystemExit(main(['classify', '--in', {str(path)!r}]))\n")
+    src = str(Path(condgraph.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "verification failed" in proc.stderr

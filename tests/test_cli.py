@@ -81,6 +81,10 @@ def test_census_ingest_and_persistent(capsys, tmp_path):
     assert code == 0 and out.strip() == "5,21,0,0"
     assert (outdir / "census_n5.csv").exists()
     assert (outdir / "manifest_n5.txt").exists()
+    # a finished rerun prints the stored totals again
+    code, out, _ = run(capsys, "census", "--mode", "connected", "--n", "5",
+                       "--out", str(outdir), "--shards", "2")
+    assert code == 0 and out.strip() == "5,21,0,0"
 
 
 def test_family_subcommand(capsys):
@@ -99,6 +103,10 @@ def test_family_subcommand(capsys):
     code, out, _ = run(capsys, "family", "--name", "appendix", "--k", "3",
                        "--verify")
     assert code == 0 and "verified" in out
+
+    # n = 64 needs the long graph6 form
+    code, out, _ = run(capsys, "family", "--name", "min_deg2", "--k", "16")
+    assert code == 0 and out.startswith("~")
 
     code, _, err = run(capsys, "family", "--name", "comb")
     assert code == 2 and "--k" in err

@@ -1,17 +1,19 @@
-"""Device verdicts, booleanisation, and the three construction routes."""
+"""Device verdicts, booleanisation, and the two construction routes."""
 
 from fractions import Fraction
 
 import pytest
 
-from condgraph.conduction import (ConductionGraph, Rule, booleanise,
-                                  conduction_graph, conduction_graph_nullity1_blocks,
-                                  device_verdict, graph_nullity, nullity_signature)
+from condgraph.conduction import (ConductionGraph, DeviceVerdict, Rule,
+                                  _conduction_by_rules,
+                                  booleanise, conduction_graph,
+                                  conduction_graph_nullity1_blocks, device_verdict,
+                                  graph_nullity, nullity_signature)
 from condgraph.fixtures import fixture
 from condgraph.graphs import (Graph, adjacency_matrix, complete_graph, cycle_graph,
                               graph_from_adjacency, path_graph, star_graph)
 from condgraph.isomorphism import are_isomorphic, canonical_form
-from condgraph.linalg import SingularMatrixError, adjugate, det, inverse
+from condgraph.linalg import adjugate, det, inverse
 
 
 def test_booleanise_examples():
@@ -111,8 +113,8 @@ def test_conduction_graphs_on_at_most_4_vertices():
     for g, expected in _expected_small_conduction():
         got = conduction_graph(g).graph
         assert got == expected, g
-        # and the pure selection-rule route agrees
-        assert conduction_graph(g, method="rules").graph == expected
+        # and the selection-rule walk agrees
+        assert _conduction_by_rules(g).graph == expected
 
 
 def test_conduction_examples_from_text():
@@ -124,7 +126,7 @@ def test_conduction_examples_from_text():
 
 
 def test_conduction_graph_verdict_consistency():
-    cg = conduction_graph(fixture("paw"), method="rules")
+    cg = _conduction_by_rules(fixture("paw"))
     assert isinstance(cg, ConductionGraph)
     for u in range(4):
         assert cg.verdict(u, u).conducts == cg.graph.has_loop(u)
@@ -134,26 +136,27 @@ def test_conduction_graph_verdict_consistency():
 
 
 def test_route_agreement_exhaustive_small(connected_upto_7):
-    for n in range(2, 7):
+    # every device of every connected graph on 2..7 vertices, against the
+    # per-device rules (which compute all four nullities)
+    devices = 0
+    for n in range(2, 8):
         for g in connected_upto_7[n]:
-            eta = graph_nullity(g)
-            rules = conduction_graph(g, method="rules").graph
-            assert conduction_graph(g).graph == rules
-            if eta == 0:
-                assert conduction_graph(g, method="inverse").graph == rules
-            if eta == 1:
-                assert conduction_graph(g, method="blocks").graph == rules
+            cg = conduction_graph(g)
+            for u in range(n):
+                assert cg.verdict(u, u).conducts == device_verdict(g, u, u).conducts
+                for v in range(u + 1, n):
+                    assert cg.verdict(u, v).conducts == \
+                        device_verdict(g, u, v).conducts, (g, u, v)
+                    devices += 1
+            devices += n
+    assert devices == 26_626
 
 
-def test_method_preconditions():
-    with pytest.raises(SingularMatrixError):
-        conduction_graph(cycle_graph(4), method="inverse")
-    with pytest.raises(ValueError):
-        conduction_graph(path_graph(2), method="blocks")
-    with pytest.raises(ValueError):
-        conduction_graph(path_graph(2), method="nonsense")
+def test_conduction_graph_preconditions():
     with pytest.raises(ValueError):
         conduction_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError):
+        conduction_graph(Graph.from_edges(2, [(0, 1)], loops=[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +169,11 @@ def test_nullity1_blocks_p3():
     assert classes.middle == ()
     assert classes.upper == (1,)
     assert cg.graph == Graph.from_edges(3, [(0, 2)], loops=[0, 2])
+    # the core pair is decided without a double deletion; each core/non-core
+    # pair fits the single insulating row of its shifts
+    assert cg.verdict(0, 2) == DeviceVerdict(True, Rule.NULLITY1_BLOCKS)
+    assert cg.verdict(0, 1) == DeviceVerdict(False, Rule.D_UP_DOWN_SAME)
+    assert cg.verdict(1, 2) == DeviceVerdict(False, Rule.D_UP_DOWN_SAME)
 
 
 def test_nullity1_blocks_require_nullity_one():

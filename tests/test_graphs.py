@@ -129,11 +129,26 @@ def test_graph6_error_contract():
     with pytest.raises(Graph6Error):
         from_graph6("C")  # truncated
     with pytest.raises(Graph6Error):
-        from_graph6("~??")  # long form unsupported
+        from_graph6("~??")  # truncated long-form size
+    with pytest.raises(Graph6Error):
+        from_graph6("~??~")  # n = 63 without its data bytes
+    with pytest.raises(Graph6Error):
+        from_graph6("~?@@" + "?" * 347)  # n = 65 exceeds the data model
     with pytest.raises(Graph6Error):
         to_graph6(Graph.from_edges(2, [(0, 1)], loops=[0]))
-    with pytest.raises(Graph6Error):
-        to_graph6(Graph(63, [0] * 63))
+
+
+def test_graph6_long_form_round_trip(rng):
+    nx = pytest.importorskip("networkx")
+    for n in (62, 63, 64):
+        g = random_graph(rng, n, p=0.3)
+        text = to_graph6(g)
+        assert text.startswith("~") == (n > 62)
+        assert from_graph6(text) == g
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        assert nx.to_graph6_bytes(h, header=False).decode().strip() == text
 
 
 @settings(max_examples=100, deadline=None)

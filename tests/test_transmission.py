@@ -1,6 +1,7 @@
 """Transmission curves and the Fermi-level bridge to device verdicts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -143,3 +144,19 @@ def test_fermi_limit_strips_high_order_zeros():
     t0 = evaluate_T(dp, 1.0, 0.0)
     assert t0 == 0.0
     assert not device_verdict(c4, 0, 1).conducts
+
+
+def test_large_cycle_matches_exact_rational_T():
+    # C60 with adjacent contacts: the expanded polynomials cancel
+    # catastrophically in floating point, so compare with T evaluated in
+    # exact rationals from the same polynomials
+    dp = device_polynomials(cycle_graph(60), 0, 1)
+    b = Fraction(1)
+    for energy in (-2.0, 1.7, 0.25):
+        e = Fraction(energy)
+        den = (dp.s(e) - dp.v(e) * b) ** 2 + (dp.t(e) + dp.u(e)) ** 2 * b
+        exact = 4 * dp.jsq(e) * b / den
+        assert evaluate_T(dp, 1.0, energy) == float(exact)
+    assert evaluate_T(dp, 1.0, -2.0) == pytest.approx(0.80532, abs=1e-5)
+    curve = sweep(dp, 1.0, -3.0, 3.0, 601)
+    assert all(0.0 <= t <= 1.0 + 1e-12 for _, t in curve.samples)
