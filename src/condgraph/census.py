@@ -351,8 +351,9 @@ def _shard_of(g6: str, shards: int) -> int:
 
 def _shard_job(args):
     mode, n, shard, shards, record_all, source_path = args
+    errors = []
     if source_path is not None:
-        source = ingest_graph6(source_path)
+        source = ingest_graph6(source_path, on_error=lambda *err: errors.append(err))
     elif mode == "connected":
         source = enumerate_connected(n)
     else:
@@ -362,7 +363,7 @@ def _shard_job(args):
     buf = io.StringIO()
     for rec in records:
         buf.write(rec.csv_row() + "\n")
-    return shard, summary, records, buf.getvalue()
+    return shard, summary, records, buf.getvalue(), errors
 
 
 class CensusStore:
@@ -372,17 +373,20 @@ class CensusStore:
     the conduction-isomorphic graphs, and ``manifest_n<k>.txt`` one line per
     completed shard: ``shard_id,count,checksum`` followed by the shard's
     summary rows, four fields ``order,total,cond_iso,cond_iso_nonbipartite``
-    per order.  Re-running skips completed shards and takes their totals
-    from the manifest; every shard's bytes are reproducible.
+    per order.  Without an order (an ingested file of any orders) the files
+    are ``census_ingest.csv``, ``positives_ingest.g6`` and
+    ``manifest_ingest.txt``.  Re-running skips completed shards and takes
+    their totals from the manifest; every shard's bytes are reproducible.
     """
 
-    def __init__(self, outdir, n: int):
+    def __init__(self, outdir, n: int | None):
         self.dir = Path(outdir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.n = n
-        self.csv_path = self.dir / f"census_n{n}.csv"
-        self.sidecar_path = self.dir / f"positives_n{n}.g6"
-        self.manifest_path = self.dir / f"manifest_n{n}.txt"
+        tag = "ingest" if n is None else f"n{n}"
+        self.csv_path = self.dir / f"census_{tag}.csv"
+        self.sidecar_path = self.dir / f"positives_{tag}.g6"
+        self.manifest_path = self.dir / f"manifest_{tag}.txt"
 
     def completed_summaries(self) -> dict[int, CensusSummary]:
         """Each completed shard's id mapped to the summary it stored."""
@@ -421,14 +425,17 @@ class CensusStore:
             fh.write(",".join(map(str, fields)) + "\n")
 
 
-def run_census_persistent(mode: str, n: int, outdir, shards: int = 4,
+def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
                           jobs: int = 1, record_all: bool = False,
-                          source_path=None) -> CensusSummary:
+                          source_path=None, on_error=None) -> CensusSummary:
     """Sharded, resumable census for one order; returns the merged summary.
 
     Shards are processed in increasing id order (in parallel when jobs > 1)
     so completed output files are byte-stable across reruns.  Shards that an
     earlier run completed contribute the totals stored in the manifest.
+    ``n`` may be None when ``source_path`` gives the graphs.  Every shard
+    reads the whole source, so its unparsable lines are reported to
+    ``on_error`` (line number, message) once, from the first shard run.
     """
     if mode not in ("connected", "chemical"):
         raise ValueError("mode must be 'connected' or 'chemical'")
@@ -439,17 +446,22 @@ def run_census_persistent(mode: str, n: int, outdir, shards: int = 4,
         summary.merge(part)
     todo = [s for s in range(shards) if s not in done]
     args = [(mode, n, s, shards, record_all, source_path) for s in todo]
+
+    def finish(shard, part, records, csv_text, errors):
+        if on_error is not None and shard == todo[0]:
+            for lineno, msg in errors:
+                on_error(lineno, msg)
+        summary.merge(part)
+        store.append_shard(shard, records, csv_text, part)
+
     if jobs > 1 and len(args) > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
-            for shard, part, records, csv_text in pool.imap(_shard_job, args):
-                summary.merge(part)
-                store.append_shard(shard, records, csv_text, part)
+            for result in pool.imap(_shard_job, args):
+                finish(*result)
     else:
         for job in args:
-            shard, part, records, csv_text = _shard_job(job)
-            summary.merge(part)
-            store.append_shard(shard, records, csv_text, part)
+            finish(*_shard_job(job))
     return summary
 
 

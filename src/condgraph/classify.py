@@ -75,10 +75,13 @@ def is_uniform_core_graph(g: Graph) -> bool:
         for v in range(u + 1, g.n):
             if _sub_nullity(g, 1 << u | 1 << v) != eta - 2:
                 return False
-    cg = conduction_graph(g)
+    _check_ucg_conduction(g, conduction_graph(g))
+    return True
+
+
+def _check_ucg_conduction(g: Graph, cg: ConductionGraph):
     check_theorem(cg.graph.loops == (1 << g.n) - 1 and cg.graph.edge_count() == 0,
                   "uniform core graph without the nK1-loop conduction graph")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,7 @@ def class_code(g: Graph, cg: ConductionGraph | None = None) -> ClassCode:
         distinct_odd=_letter(*tallies["odd"]),
         distinct_even=_letter(*tallies["even"]),
         ipso=_letter(*tallies["ipso"]),
-        nullity_digit=min(graph_nullity(g), 2),
+        nullity_digit=min(cg.nullity, 2),
         bipartite_interpretation=is_bipartite(g),
         empty_classes=empty,
     )
@@ -219,8 +222,10 @@ class ClassificationReport:
 
 
 def classification_report(g: Graph) -> ClassificationReport:
+    """Every field from the conduction graph and, for a singular graph, the
+    bordered adjugate that built it; no further elimination."""
     cg = conduction_graph(g)
-    eta = graph_nullity(g)
+    eta = cg.nullity
     loopless = cg.graph.loops == 0
     cond_iso = _isomorphism_onto(g, cg.graph.rows, cg.graph.loops) is not None
     if cond_iso:
@@ -228,11 +233,19 @@ def classification_report(g: Graph) -> ClassificationReport:
         # ipso omni-insulator; a violation here is a bug, not data.
         check_theorem(eta == 0 and loopless,
                       "conduction-isomorphic graph that is singular or looped")
+    # all core: every single deletion drops the nullity (no zero border row)
+    all_core = eta > 0 and all(cg.analysis.nullity(v) == eta - 1
+                               for v in range(g.n))
+    is_ucg = all_core and eta >= 2 and all(
+        cg.analysis.nullity(u, v) == eta - 2
+        for u in range(g.n) for v in range(u + 1, g.n))
+    if is_ucg:
+        _check_ucg_conduction(g, cg)
     return ClassificationReport(
         nullity=eta,
         is_ipso_omni_insulator=loopless,
-        is_nut=is_nut(g),
-        is_ucg=is_uniform_core_graph(g) if eta >= 2 else False,
+        is_nut=all_core and eta == 1 and g.n > 1,
+        is_ucg=is_ucg,
         is_conduction_isomorphic=cond_iso,
         code=class_code(g, cg),
         component_count=cg.component_count(),

@@ -127,7 +127,8 @@ def _cmd_census(args) -> int:
     if args.out:
         summary = census_mod.run_census_persistent(
             args.mode, args.n, args.out, shards=args.shards, jobs=args.jobs,
-            record_all=args.all, source_path=args.ingest)
+            record_all=args.all, source_path=args.ingest,
+            on_error=lambda ln, msg: print(f"line {ln}: {msg}", file=sys.stderr))
         rows = sorted(summary.counts)
         for n in rows:
             total, ci, nb = summary.row(n)

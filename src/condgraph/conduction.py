@@ -15,16 +15,22 @@ routes, chosen by the nullity:
 
 * nullity 0: booleanise the exact inverse (equivalently, the adjugate, which
   shares its zero pattern and never leaves the integers);
-* any other nullity: walk every device through the selection rules.  The
-  walk skips the double deletion wherever the single-deletion shifts already
-  fix the row; in a nullity-1 graph that yields the block structure around
-  the core vertices (a looped clique with no edges to the rest) directly.
+* any other nullity: walk every device through the selection rules, reading
+  every nullity and every equal-nullity verdict from one bordered adjugate
+  (:class:`BorderedAdjugate`).  The walk skips the double deletion wherever
+  the single-deletion shifts already fix the row; in a nullity-1 graph that
+  yields the block structure around the core vertices (a looped clique with
+  no edges to the rest) directly.
+
+The same walk over nullities of explicitly deleted subgraphs and the
+polynomial j-test, :func:`_conduction_by_rules`, is kept as the independent
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .graphs import Graph, adjacency_matrix, is_connected
@@ -108,10 +114,17 @@ class DeviceVerdict:
 
 @dataclass(frozen=True)
 class ConductionGraph:
-    """The conduction graph plus the per-device provenance that built it."""
+    """The conduction graph plus the per-device provenance that built it.
+
+    ``nullity`` is the base graph's; ``analysis`` is the bordered adjugate
+    that decided a singular graph's verdicts (None on the inverse route).
+    """
 
     graph: Graph
     verdicts: dict
+    nullity: int
+    analysis: "BorderedAdjugate | None" = field(default=None, repr=False,
+                                                compare=False)
 
     def verdict(self, u: int, v: int) -> DeviceVerdict:
         return self.verdicts[(u, v) if u <= v else (v, u)]
@@ -250,6 +263,72 @@ def _require_simple_connected(g: Graph):
 
 
 # ---------------------------------------------------------------------------
+# the bordered adjugate of a singular graph
+# ---------------------------------------------------------------------------
+
+class BorderedAdjugate:
+    """Every deletion nullity and equal-nullity verdict of a singular graph,
+    read from one integer matrix.
+
+    With Z an exact kernel basis of the adjacency matrix A (eta = nullity
+    columns), M = [[A, Z], [Z^T, 0]] is nonsingular and
+    M^-1 = [[A+, W], [W^T, 0]], where A+ is the Moore-Penrose inverse and
+    W = Z (Z^T Z)^-1.  Only adj(M) = det(M) M^-1 is kept: an integer matrix
+    with the same zero pattern and ranks as M^-1.
+
+    By the nullity theorem (Fiedler & Markham, Linear Algebra Appl. 74,
+    1986) the nullity of A without the vertices S equals |S| + eta minus the
+    rank of adj(M) on the rows and columns of S and the border, that is of
+    K = [[X, B], [B^T, 0]] with X the S x S block and B the rows S in the
+    border columns.  rank K = 2 rank B + rank(N^T X N), N spanning the left
+    kernel of B, which gives each eta(G-S) with |S| <= 2 in O(eta).
+    """
+
+    __slots__ = ("n", "adj")
+
+    def __init__(self, a):
+        z = linalg.kernel_basis(a)
+        bordered = [list(row) + [vec[i] for vec in z] for i, row in enumerate(a)]
+        bordered += [vec + [0] * len(z) for vec in z]
+        self.n = len(a)
+        self.adj = linalg.adjugate(bordered)
+
+    @property
+    def eta(self) -> int:
+        return len(self.adj) - self.n
+
+    def nullity(self, *deleted: int) -> int:
+        """eta(G - deleted) for at most two distinct deleted vertices."""
+        eta, n, adj = self.eta, self.n, self.adj
+        if not deleted:
+            return eta
+        if len(deleted) == 1:
+            u, = deleted
+            if any(adj[u][n:]):
+                return eta - 1
+            return eta + 1 - (adj[u][u] != 0)
+        u, v = deleted
+        bu, bv = adj[u][n:], adj[v][n:]
+        if not any(bu):
+            u, v, bu, bv = v, u, bv, bu
+        j = next((k for k, x in enumerate(bu) if x), None)
+        if j is None:  # B = 0: the nullity of X alone
+            xuu, xuv, xvv = adj[u][u], adj[u][v], adj[v][v]
+            rank_x = 2 if xuu * xvv != xuv * xuv else int(bool(xuu or xuv or xvv))
+            return eta + 2 - rank_x
+        p, q = bu[j], bv[j]
+        if any(p * y != q * x for x, y in zip(bu, bv)):
+            return eta - 2  # rank B = 2
+        # rank B = 1, left kernel spanned by (q, -p)
+        quad = adj[u][u] * q * q - 2 * adj[u][v] * p * q + adj[v][v] * p * p
+        return eta - (quad != 0)
+
+    def conducts(self, u: int, v: int) -> bool:
+        """Equal-nullity verdict: adj(M)_uv is a nonzero multiple of A+_uv."""
+        return self.adj[u][v] != 0
+
+
+# ---------------------------------------------------------------------------
 # whole-graph construction
 # ---------------------------------------------------------------------------
 
@@ -257,34 +336,46 @@ def conduction_graph(g: Graph) -> ConductionGraph:
     """Conduction graph of a connected simple graph.
 
     A nonsingular graph booleanises its inverse; a singular one walks the
-    selection rules.  The walk agrees with :func:`device_verdict` on every
-    device, and with the inverse on every nonsingular graph (both tested
-    exhaustively on small orders).
+    selection rules over its bordered adjugate.  Both agree with
+    :func:`_conduction_by_rules` and :func:`device_verdict` on every device
+    (tested exhaustively on small orders).
     """
     _require_simple_connected(g)
     try:
         return _conduction_by_inverse(g)
     except SingularMatrixError:
-        return _conduction_by_rules(g)
+        analysis = BorderedAdjugate(adjacency_matrix(g))
+        graph, verdicts = _walk(g.n, analysis.eta, analysis.nullity,
+                                analysis.conducts)
+        return ConductionGraph(graph, verdicts, analysis.eta, analysis)
+
+
+def _conduction_by_rules(g: Graph) -> ConductionGraph:
+    """The walk over directly eliminated deletions and the polynomial
+    j-test; the reference the bordered-adjugate route is tested against."""
+    eta = graph_nullity(g)
+    graph, verdicts = _walk(
+        g.n, eta, lambda *deleted: _sub_nullity(g, sum(1 << v for v in deleted)),
+        _make_jtester(g, eta))
+    return ConductionGraph(graph, verdicts, eta)
 
 
 # single-deletion shifts (sorted descending) that fit exactly one table row
 _FORCED_ROW = {(1, -1): (1, -1, 0), (0, -1): (0, -1, -1)}
 
 
-def _conduction_by_rules(g: Graph) -> ConductionGraph:
-    """Every device through the selection rules.
+def _walk(n: int, eta: int, nullity, jtest) -> tuple[Graph, dict]:
+    """Every device of a singular graph through the selection rules.
 
-    eta(G-u-v) is computed only where the single-deletion shifts leave the
-    row open.  A core/non-core pair, shifts (1,-1) or (0,-1), fits one row,
-    and both such rows insulate.  A core/core pair of a nullity-1 graph,
-    shifts (-1,-1), conducts, because the insulating row would need
-    eta(G-u-v) = -1; that verdict is recorded as ``Rule.NULLITY1_BLOCKS``.
+    ``nullity(*deleted)`` gives eta(G - deleted) for one or two vertices and
+    ``jtest(u, v)`` decides an equal-nullity device.  eta(G-u-v) is asked
+    for only where the single-deletion shifts leave the row open.  A
+    core/non-core pair, shifts (1,-1) or (0,-1), fits one row, and both such
+    rows insulate.  A core/core pair of a nullity-1 graph, shifts (-1,-1),
+    conducts, because the insulating row would need eta(G-u-v) = -1; that
+    verdict is recorded as ``Rule.NULLITY1_BLOCKS``.
     """
-    n = g.n
-    eta = graph_nullity(g)
-    shift = [_sub_nullity(g, 1 << v) - eta for v in range(n)]
-    jtest = _make_jtester(g, eta)
+    shift = [nullity(v) - eta for v in range(n)]
     verdicts = {}
     rows = [0] * n
     loops = 0
@@ -304,13 +395,13 @@ def _conduction_by_rules(g: Graph) -> ConductionGraph:
                 dv = DeviceVerdict(True, Rule.NULLITY1_BLOCKS)
             else:
                 sig = NullitySignature(eta, eta + shift[u], eta + shift[v],
-                                       _sub_nullity(g, 1 << u | 1 << v))
+                                       nullity(u, v))
                 dv = _verdict_from_signature(u, v, sig, jtest)
             verdicts[(u, v)] = dv
             if dv.conducts:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return ConductionGraph(Graph(n, rows, loops), verdicts)
+    return Graph(n, rows, loops), verdicts
 
 
 def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
@@ -346,7 +437,7 @@ def _conduction_by_inverse(g: Graph) -> ConductionGraph:
         for v in range(u + 1, g.n):
             verdicts[(u, v)] = DeviceVerdict(bool(rows[u] >> v & 1),
                                              Rule.INVERSE_PATTERN)
-    return ConductionGraph(Graph(g.n, rows, loops), verdicts)
+    return ConductionGraph(Graph(g.n, rows, loops), verdicts, 0)
 
 
 @dataclass(frozen=True)
@@ -360,13 +451,12 @@ def conduction_graph_nullity1_blocks(g: Graph):
     """Core/middle/upper partition plus the conduction graph (nullity 1 only).
 
     The classes are the vertices whose deletion drops, keeps or raises the
-    nullity; the conduction graph is the selection-rule walk's.
+    nullity, read from the bordered adjugate that built the conduction graph.
     """
-    _require_simple_connected(g)
-    eta = graph_nullity(g)
-    if eta != 1:
-        raise ValueError(f"expected nullity 1, got {eta}")
+    cg = conduction_graph(g)
+    if cg.nullity != 1:
+        raise ValueError(f"expected nullity 1, got {cg.nullity}")
     classes = ([], [], [])
     for v in range(g.n):
-        classes[_sub_nullity(g, 1 << v)].append(v)  # eta(G-v) is 0, 1 or 2
-    return VertexClasses(*map(tuple, classes)), _conduction_by_rules(g)
+        classes[cg.analysis.nullity(v)].append(v)  # eta(G-v) is 0, 1 or 2
+    return VertexClasses(*map(tuple, classes)), cg

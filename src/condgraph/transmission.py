@@ -90,11 +90,62 @@ def evaluate_T(dp: DevicePolynomials, beta_sq: float, energy: float) -> float | 
     return _evaluate(*_rational_T(dp, beta_sq), energy)
 
 
-@dataclass(frozen=True)
+def _grid(e_min: float, e_max: float, steps: int) -> list[float]:
+    return [e_min + (e_max - e_min) * i / (steps - 1) for i in range(steps)]
+
+
+def _pack(ts) -> bytes:
+    """T values as native doubles; None (an excluded energy) becomes NaN."""
+    buf = bytearray(8 * len(ts))
+    view = memoryview(buf).cast("d")
+    for i, t in enumerate(ts):
+        view[i] = float("nan") if t is None else t
+    return bytes(buf)
+
+
+@dataclass(frozen=True, init=False)
 class TransmissionCurve:
+    """T(E) on the uniform grid of ``steps`` energies from ``e_min`` to
+    ``e_max``, endpoints included.
+
+    The T values are kept as packed doubles, NaN marking an excluded energy
+    (one whose denominator vanished); ``samples`` and ``excluded`` unpack
+    them.  A curve can also be built from ``samples``, (E, T) pairs on the
+    grid with the excluded energies left out; ``dataclasses.replace(curve,
+    samples=...)`` goes through that path.
+    """
+
     beta_sq: float
-    samples: tuple             # (E, T) pairs, sorted by E
-    excluded: tuple            # E values where the denominator vanished
+    e_min: float
+    e_max: float
+    steps: int
+    values: bytes
+
+    def __init__(self, beta_sq: float, e_min: float, e_max: float, steps: int,
+                 values: bytes = b"", samples=None):
+        if samples is not None:
+            grid = _grid(e_min, e_max, steps)
+            t_at = dict(samples)
+            if not t_at.keys() <= set(grid):
+                raise ValueError("samples must lie on the curve's energy grid")
+            values = _pack([t_at.get(e) for e in grid])
+        for name, value in (("beta_sq", beta_sq), ("e_min", e_min),
+                            ("e_max", e_max), ("steps", steps), ("values", values)):
+            object.__setattr__(self, name, value)
+
+    def _points(self):
+        return zip(_grid(self.e_min, self.e_max, self.steps),
+                   memoryview(self.values).cast("d"))
+
+    @property
+    def samples(self) -> tuple:
+        """(E, T) pairs, sorted by E."""
+        return tuple((e, t) for e, t in self._points() if t == t)  # NaN != NaN
+
+    @property
+    def excluded(self) -> tuple:
+        """E values where the denominator vanished."""
+        return tuple(e for e, t in self._points() if t != t)
 
     def to_csv(self) -> str:
         lines = ["E,T"]
@@ -112,13 +163,5 @@ def sweep(dp: DevicePolynomials, beta_sq: float, e_min: float, e_max: float,
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
     num, den = _rational_T(dp, beta_sq)
-    samples = []
-    excluded = []
-    for i in range(steps):
-        e = e_min + (e_max - e_min) * i / (steps - 1)
-        t = _evaluate(num, den, e)
-        if t is None:
-            excluded.append(e)
-        else:
-            samples.append((e, t))
-    return TransmissionCurve(beta_sq, tuple(samples), tuple(excluded))
+    values = _pack([_evaluate(num, den, e) for e in _grid(e_min, e_max, steps)])
+    return TransmissionCurve(beta_sq, e_min, e_max, steps, values)

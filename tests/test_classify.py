@@ -125,19 +125,49 @@ def test_classification_report_fields():
     assert rep.code.two_letter.endswith("2")
 
 
+def test_report_reads_the_analysis(connected_upto_7, monkeypatch):
+    # nullity, nut, UCG and the nullity digit of the report come from the
+    # bordered adjugate that built G^C; the public predicates eliminate anew
+    from condgraph.conduction import graph_nullity
+    ucgs = nuts = 0
+    for n in range(1, 8):
+        for g in connected_upto_7[n]:
+            rep = classification_report(g)
+            assert rep.nullity == graph_nullity(g), g
+            assert rep.is_nut == is_nut(g), g
+            assert rep.is_ucg == is_uniform_core_graph(g), g
+            assert rep.code == class_code(g), g
+            ucgs += rep.is_ucg
+            nuts += rep.is_nut
+    assert (ucgs, nuts) == (2, 3)
+    # no elimination beyond the two that build G^C
+    from condgraph import linalg
+    calls = []
+    real = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda a: calls.append(a) or real(a))
+    for g in (complete_bipartite_graph(3, 3), cycle_graph(12),
+              next(g for g in connected_upto_7[7] if is_nut(g))):
+        calls.clear()
+        classification_report(g)
+        assert len(calls) <= 2, g
+
+
 def test_theorem_check_survives_optimisation(tmp_path):
     # a bare assert vanishes under -O; the check must still stop the CLI with
-    # exit code 3.  P4 is conduction-isomorphic, and a faked nullity of 1
-    # contradicts the corollary chain in classification_report.
+    # exit code 3.  P4 is conduction-isomorphic, and a faked nullity of 1 on
+    # its conduction graph contradicts the corollary chain in
+    # classification_report.
     path = tmp_path / "in.g6"
     path.write_text("Ch\n")
     script = (
+        "import dataclasses\n"
         "import sys\n"
         "import condgraph.classify as c\n"
         "from condgraph.cli import main\n"
         "if not sys.flags.optimize:\n"
         "    raise SystemExit(99)\n"
-        "c.graph_nullity = lambda g: 1\n"
+        "real = c.conduction_graph\n"
+        "c.conduction_graph = lambda g: dataclasses.replace(real(g), nullity=1)\n"
         f"raise SystemExit(main(['classify', '--in', {str(path)!r}]))\n")
     src = str(Path(condgraph.__file__).resolve().parents[1])
     env = dict(os.environ,

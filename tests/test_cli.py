@@ -87,6 +87,20 @@ def test_census_ingest_and_persistent(capsys, tmp_path):
     assert code == 0 and out.strip() == "5,21,0,0"
 
 
+def test_census_persistent_ingest(capsys, tmp_path):
+    # an ingested file without --n: named files, each bad line reported once
+    src = tmp_path / "graphs.g6"
+    src.write_text("Ch\nC!x\nDQw\n")
+    outdir = tmp_path / "store"
+    code, out, err = run(capsys, "census", "--ingest", str(src), "--out",
+                         str(outdir), "--shards", "3")
+    assert code == 0 and out.split() == ["4,1,1,0", "5,1,0,0"]
+    assert err.count("line 2: ") == 1 and err.count("line ") == 1
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "census_ingest.csv", "manifest_ingest.txt", "positives_ingest.g6"]
+    assert len((outdir / "positives_ingest.g6").read_text().splitlines()) == 1
+
+
 def test_family_subcommand(capsys):
     code, out, _ = run(capsys, "family", "--name", "min_deg2", "--k", "4",
                        "--verify")

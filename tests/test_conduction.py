@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from condgraph.conduction import (ConductionGraph, DeviceVerdict, Rule,
-                                  _conduction_by_rules,
+from condgraph import linalg
+from condgraph.census import enumerate_connected
+from condgraph.conduction import (BorderedAdjugate, ConductionGraph, DeviceVerdict,
+                                  Rule, _conduction_by_rules, _sub_nullity,
                                   booleanise, conduction_graph,
                                   conduction_graph_nullity1_blocks, device_verdict,
                                   graph_nullity, nullity_signature)
 from condgraph.fixtures import fixture
-from condgraph.graphs import (Graph, adjacency_matrix, complete_graph, cycle_graph,
-                              graph_from_adjacency, path_graph, star_graph)
+from condgraph.graphs import (Graph, adjacency_matrix, complete_bipartite_graph,
+                              complete_graph, cycle_graph, graph_from_adjacency,
+                              path_graph, star_graph)
 from condgraph.isomorphism import are_isomorphic, canonical_form
-from condgraph.linalg import adjugate, det, inverse
+from condgraph.linalg import adjugate, det, inverse, kernel_basis
 
 
 def test_booleanise_examples():
@@ -157,6 +160,89 @@ def test_conduction_graph_preconditions():
         conduction_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
         conduction_graph(Graph.from_edges(2, [(0, 1)], loops=[0]))
+
+
+# ---------------------------------------------------------------------------
+# the bordered adjugate
+# ---------------------------------------------------------------------------
+
+def test_bordered_adjugate_deletion_nullities(connected_upto_7):
+    # every eta(G-S), |S| <= 2, against direct elimination of G-S
+    for n in range(1, 8):
+        for g in connected_upto_7[n]:
+            analysis = BorderedAdjugate(adjacency_matrix(g))
+            assert analysis.nullity() == graph_nullity(g)
+            for u in range(n):
+                assert analysis.nullity(u) == _sub_nullity(g, 1 << u), (g, u)
+                for v in range(u + 1, n):
+                    expected = _sub_nullity(g, 1 << u | 1 << v)
+                    assert analysis.nullity(u, v) == expected, (g, u, v)
+                    assert analysis.nullity(v, u) == expected, (g, v, u)
+
+
+def test_bordered_adjugate_is_scaled_pseudo_inverse():
+    # adj(M) / det(M) on A's block is the Moore-Penrose inverse
+    # (A + P)^-1 - P, P the orthogonal projector onto the kernel
+    for g in (cycle_graph(6), path_graph(5), complete_bipartite_graph(3, 3),
+              star_graph(5)):
+        a = adjacency_matrix(g)
+        n = g.n
+        z = kernel_basis(a)
+        bordered = [row + [vec[i] for vec in z] for i, row in enumerate(a)]
+        bordered += [vec + [0] * len(z) for vec in z]
+        det_m = det(bordered)
+        gram_inv = inverse([[sum(x * y for x, y in zip(zi, zj)) for zj in z]
+                            for zi in z]) if z else []
+        p = [[sum(z[k][i] * gram_inv[k][l] * z[l][j] for k in range(len(z))
+                  for l in range(len(z))) for j in range(n)] for i in range(n)]
+        shifted = inverse([[a[i][j] + p[i][j] for j in range(n)] for i in range(n)])
+        pinv = [[shifted[i][j] - p[i][j] for j in range(n)] for i in range(n)]
+        adj = BorderedAdjugate(a).adj
+        assert len(adj) == n + len(z)
+        assert [[Fraction(adj[i][j], det_m) for j in range(n)] for i in range(n)] \
+            == pinv, g
+
+
+def _singular_connected(max_n):
+    for n in range(1, max_n + 1):
+        for g in enumerate_connected(n):
+            if graph_nullity(g):
+                yield g
+
+
+def test_bordered_route_matches_rule_walk():
+    # the production route against the walk over direct deletions and the
+    # polynomial j-test: every singular connected graph with n <= 8, plus
+    # larger singular graphs of nullity 2, 1, 29 and 24
+    checked = 0
+    for g in _singular_connected(8):
+        assert conduction_graph(g).graph == _conduction_by_rules(g).graph, g
+        checked += 1
+    assert checked == 5982
+    for g in (cycle_graph(40), path_graph(41), star_graph(30),
+              complete_bipartite_graph(6, 20)):
+        cg = conduction_graph(g)
+        ref = _conduction_by_rules(g)
+        assert cg.graph == ref.graph, g
+        assert cg.verdicts == ref.verdicts, g
+
+
+def test_conduction_graph_eliminations_per_graph(monkeypatch):
+    # one rank for the nonsingular test, one echelon for the kernel basis;
+    # the adjugate needs no elimination.  The walk over direct deletions
+    # eliminates once per vertex and per open pair (821 for C40).
+    calls = []
+    real = linalg._echelon
+
+    def counted(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    for g in (cycle_graph(40), path_graph(41)):
+        calls.clear()
+        conduction_graph(g)
+        assert len(calls) <= 2, (g, len(calls))
 
 
 # ---------------------------------------------------------------------------
