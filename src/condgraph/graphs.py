@@ -1,18 +1,22 @@
 """Graph data model on at most 64 vertices, with a bit-exact graph6 codec.
 
 Vertices are the integers ``0..n-1``.  Adjacency is stored as one bitmask per
-vertex so that a whole neighbourhood row fits into a single Python int, plus a
-separate bitmask of vertices carrying a self-loop.  Loops are kept out of the
-pair relation on purpose: almost every code path deals with simple graphs and
-only conduction graphs ever carry loops.  In the adjacency matrix a loop shows
-up as the diagonal entry 2.
+vertex, the rows packed as unsigned 64-bit words in one ``array('Q')`` (n <=
+64, so every row fits one word, and indexing yields a plain Python int), plus
+a separate bitmask of vertices carrying a self-loop.  Loops are kept out of
+the pair relation on purpose: almost every code path deals with simple graphs
+and only conduction graphs ever carry loops.  In the adjacency matrix a loop
+shows up as the diagonal entry 2.
 
 Graph instances are immutable values; every "mutating" helper returns a new
 instance, so graphs are safe to share between threads and to use as dict keys.
+Attribute assignment is refused; the packed rows are shared, not copied, on
+read, so they must be treated as read-only.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
@@ -36,7 +40,7 @@ class Graph:
     def __init__(self, n: int, rows: Sequence[int], loops: int = 0):
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        rows = tuple(rows)
+        rows = list(rows)  # validated as Python ints, then packed
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -55,7 +59,7 @@ class Graph:
         if loops & ~full:
             raise ValueError("loop set references vertices out of range")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", array("Q", rows))
         object.__setattr__(self, "loops", loops)
 
     def __setattr__(self, name, value):
@@ -169,7 +173,7 @@ class Graph:
                 and self.rows == other.rows and self.loops == other.loops)
 
     def __hash__(self):
-        return hash((self.n, self.rows, self.loops))
+        return hash((self.n, self.rows.tobytes(), self.loops))
 
     def __repr__(self):
         tag = f", loops={self.loop_vertices()}" if self.loops else ""

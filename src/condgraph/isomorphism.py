@@ -22,6 +22,20 @@ from dataclasses import dataclass
 from .graphs import Graph
 
 
+class TheoremCheckError(RuntimeError):
+    """A result contradicted a theorem of the paper, or a verified witness
+    failed its check; indicates a bug.
+
+    Raised explicitly rather than by ``assert`` so that the check survives
+    ``python -O``; the command line maps it to exit code 3.
+    """
+
+
+def check_theorem(holds: bool, message: str):
+    if not holds:
+        raise TheoremCheckError(message)
+
+
 @dataclass(frozen=True)
 class CanonicalData:
     """Everything the search learns: labelling, form, orbits, generators."""
@@ -182,7 +196,7 @@ def _canonical_search(n, rows, loops):
 
 
 def canonical_data(g: Graph) -> CanonicalData:
-    lab, enc, orbits, gens = _canonical_search(g.n, g.rows, g.loops)
+    lab, enc, orbits, gens = _canonical_search(g.n, list(g.rows), g.loops)
     cloops, crows = enc
     form = bytes([g.n]) + cloops.to_bytes(8, "little") + b"".join(
         r.to_bytes(8, "little") for r in crows)
@@ -222,8 +236,8 @@ def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
     for v, p in enumerate(d2.labeling):
         inv2[p] = v
     witness = [inv2[d1.labeling[v]] for v in range(g1.n)]
-    if not verify_witness(g1, g2, witness):
-        raise AssertionError("canonical labellings produced an invalid witness")
+    check_theorem(verify_witness(g1, g2, witness),
+                  "canonical labellings produced an invalid witness")
     return witness
 
 

@@ -6,6 +6,13 @@ Python ints, kernel bases and inverses use `fractions.Fraction`, and integer
 characteristic polynomials plus adjugates come from the Faddeev-LeVerrier
 recurrence, whose divisions are exact for integer matrices.
 
+:func:`scaled_inverse` is the fast route to an adjugate of a larger matrix:
+Gauss-Jordan modulo the prime p = 2**31 - 1 in numpy int64.  That arithmetic
+is exact, not approximate: residues stay below 2**31, so every product of two
+is below 2**62.  No modular result is used before the integer check
+A X = d I holds, which makes X exactly d A^-1; when the check fails the
+caller takes the exact route.
+
 Floating point is quarantined to :func:`float_spectrum`, which exists only for
 spectrum-shaped cross-checks (documented tolerance 1e-9 for the eigensolver,
 1e-6 against exact characteristic polynomial roots).
@@ -230,6 +237,63 @@ def char_poly(a) -> "IntPolynomial":
 def adjugate(a) -> list[list[int]]:
     """Transpose of the cofactor matrix; satisfies A adj(A) = det(A) I."""
     return char_poly_and_adjugate(a)[1]
+
+
+# ---------------------------------------------------------------------------
+# scaled inverse by Gauss-Jordan modulo one prime, checked in the integers
+# ---------------------------------------------------------------------------
+
+MODULUS = (1 << 31) - 1
+# largest absolute row sum admitted to numpy: with |X| < MODULUS / 2 every
+# partial sum of A X stays below 2**61
+_MAX_ROW_SUM = 1 << 31
+
+
+def scaled_inverse(a) -> "tuple[int, np.ndarray] | None":
+    """(d, X) with A X = d I exactly and d != 0, or None.
+
+    Gauss-Jordan on [A | I] modulo p = :data:`MODULUS` gives det(A) and
+    adj(A) modulo p; both are lifted to (-p/2, p/2) as ``d`` and the int64
+    array ``X``.  The pair is returned only when the integer product A X
+    equals d I, so X is exactly d A^-1: it has the zero pattern and the
+    submatrix ranks of adj(A), and it equals adj(A) whenever det(A) and
+    every cofactor lie in (-p/2, p/2).  None means that p divides det(A)
+    (A singular included) or that the lifted residues are not d A^-1; the
+    caller then decides exactly.  A matrix with a row whose absolute sum
+    exceeds 2**31 is refused before anything reaches numpy.
+    """
+    p = MODULUS
+    n = len(a)
+    if not n or any(sum(map(abs, row)) > _MAX_ROW_SUM for row in a):
+        return None
+    ai = np.array(a, dtype=np.int64)
+    m = np.zeros((n, 2 * n), dtype=np.int64)
+    m[:, :n] = ai % p
+    m[:, n:] = np.eye(n, dtype=np.int64)
+    d = 1
+    for c in range(n):
+        nonzero = np.flatnonzero(m[c:, c])
+        if not len(nonzero):
+            return None  # det(A) = 0 mod p
+        r = c + int(nonzero[0])
+        if r != c:
+            m[[c, r]] = m[[r, c]]
+            d = p - d
+        pivot = int(m[c, c])
+        d = d * pivot % p
+        m[c] = m[c] * pow(pivot, p - 2, p) % p
+        col = m[:, c].copy()
+        col[c] = 0
+        hit = np.flatnonzero(col)
+        if len(hit):
+            m[hit] = (m[hit] - np.outer(col[hit], m[c])) % p
+    x = m[:, n:] * d % p
+    x[x > p // 2] -= p
+    if d > p // 2:
+        d -= p
+    if not np.array_equal(ai @ x, d * np.eye(n, dtype=np.int64)):
+        return None
+    return d, x
 
 
 # ---------------------------------------------------------------------------

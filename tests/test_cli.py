@@ -1,7 +1,14 @@
 """CLI surface: subcommands, formats and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import condgraph
+from condgraph import isomorphism
 from condgraph.cli import main
 from condgraph.fixtures import fixture
 from condgraph.graphs import to_graph6
@@ -135,6 +142,33 @@ def test_iso_subcommand(capsys):
     assert code == 0 and out.strip() == "non-isomorphic"
     code, _, err = run(capsys, "iso", "Ch", "not-a-graph")
     assert code == 2
+
+
+def test_iso_with_a_bad_witness_is_a_verification_failure(capsys, monkeypatch):
+    # a witness that fails its own check is a verification failure (exit 3),
+    # not an internal error (exit 1)
+    monkeypatch.setattr(isomorphism, "verify_witness", lambda g1, g2, h: False)
+    code, out, err = run(capsys, "iso", "Ch", "Ch")
+    assert code == 3 and out == ""
+    assert "verification failed" in err and "invalid witness" in err
+
+
+def test_bad_witness_exit_code_survives_optimisation():
+    script = (
+        "import sys\n"
+        "import condgraph.isomorphism as iso\n"
+        "from condgraph.cli import main\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(99)\n"
+        "iso.verify_witness = lambda g1, g2, h: False\n"
+        "raise SystemExit(main(['iso', 'Ch', 'Ch']))\n")
+    src = str(Path(condgraph.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "invalid witness" in proc.stderr
 
 
 def test_transmit_subcommand(capsys, tmp_path):

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from condgraph import linalg
+from condgraph import conduction, linalg
 from condgraph.census import enumerate_connected
 from condgraph.conduction import (BorderedAdjugate, ConductionGraph, DeviceVerdict,
                                   Rule, _conduction_by_rules, _sub_nullity,
                                   booleanise, conduction_graph,
                                   conduction_graph_nullity1_blocks, device_verdict,
-                                  graph_nullity, nullity_signature)
+                                  graph_nullity, inverse_conduction_pattern,
+                                  nullity_signature)
+from condgraph.families import min_deg2_graph
 from condgraph.fixtures import fixture
 from condgraph.graphs import (Graph, adjacency_matrix, complete_bipartite_graph,
                               complete_graph, cycle_graph, graph_from_adjacency,
@@ -228,9 +230,10 @@ def test_bordered_route_matches_rule_walk():
 
 
 def test_conduction_graph_eliminations_per_graph(monkeypatch):
-    # one rank for the nonsingular test, one echelon for the kernel basis;
-    # the adjugate needs no elimination.  The walk over direct deletions
-    # eliminates once per vertex and per open pair (821 for C40).
+    # one echelon for the kernel basis, which also decides singularity; the
+    # adjugate needs no elimination.  The walk over direct deletions
+    # eliminates once per vertex and per open pair (821 for C40).  A large
+    # nonsingular graph passes the modular check and eliminates nothing.
     calls = []
     real = linalg._echelon
 
@@ -243,6 +246,115 @@ def test_conduction_graph_eliminations_per_graph(monkeypatch):
         calls.clear()
         conduction_graph(g)
         assert len(calls) <= 2, (g, len(calls))
+    calls.clear()
+    conduction_graph(min_deg2_graph(16))
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# modular adjugates and their exact fallback
+# ---------------------------------------------------------------------------
+
+def _record_scaled_inverse(monkeypatch):
+    """Route every order through linalg.scaled_inverse and log its results."""
+    results = []
+    real = linalg.scaled_inverse
+
+    def recorded(a):
+        out = real(a)
+        results.append(out is not None)
+        return out
+
+    monkeypatch.setattr(conduction, "MODULAR_MIN_ORDER", 1)
+    monkeypatch.setattr(linalg, "scaled_inverse", recorded)
+    return results
+
+
+def test_modular_routes_stay_exact_when_the_check_fails(monkeypatch,
+                                                        connected_upto_7):
+    # modulo 7 many determinants vanish and many cofactors exceed p/2, so
+    # both checked modular results and the exact fallback (for a nonsingular
+    # graph, the empty kernel of BorderedAdjugate) decide real graphs; every
+    # answer must equal the exact route
+    cases = [g for n in range(1, 8) for g in connected_upto_7[n]]
+    cases += [cycle_graph(12), path_graph(13), min_deg2_graph(4),
+              fixture("fig6reg24")]
+    expected = []
+    monkeypatch.setattr(conduction, "MODULAR_MIN_ORDER", 65)  # exact only
+    for g in cases:
+        try:
+            pattern = inverse_conduction_pattern(g)
+        except linalg.SingularMatrixError as exc:
+            pattern = exc.nullity
+        expected.append((conduction_graph(g), pattern))
+    monkeypatch.setattr(linalg, "MODULUS", 7)
+    results = _record_scaled_inverse(monkeypatch)
+    for g, (cg, pattern) in zip(cases, expected):
+        got = conduction_graph(g)
+        assert got.graph == cg.graph and got.verdicts == cg.verdicts, g
+        assert got.nullity == cg.nullity, g
+        try:
+            rows, loops = inverse_conduction_pattern(g)
+        except linalg.SingularMatrixError as exc:
+            assert exc.nullity == pattern, g
+        else:
+            assert (list(rows), loops) == (list(pattern[0]), pattern[1]), g
+    assert results.count(True) > 100 and results.count(False) > 100
+
+
+def test_bordered_adjugate_stays_exact_when_the_check_fails(monkeypatch):
+    # M = [[A, e0], [e0^T, 0]] for A = 0 (+) D of order 14: det(D) = p makes
+    # M singular modulo p, and D = diag(2**30, 3, 1, ...) gives cofactors of
+    # 3 * 2**30 > p/2.  Both refuse the modular result; the exact adjugate
+    # of M decides every nullity.
+    results = _record_scaled_inverse(monkeypatch)
+    prime_block = [[1 << 16, 1], [1, 1 << 15]]  # det = 2**31 - 1
+    n = 14
+    for head in (prime_block, [[1 << 30, 0], [0, 3]]):
+        a = [[0] * n for _ in range(n)]
+        for i in range(2):
+            for j in range(2):
+                a[1 + i][1 + j] = head[i][j]
+        for i in range(3, n):
+            a[i][i] = 1
+        results.clear()
+        analysis = BorderedAdjugate(a)
+        assert results == [False]
+        bordered = [row + [int(i == 0)] for i, row in enumerate(a)]
+        bordered.append([1] + [0] * n)
+        assert analysis.adj == linalg.adjugate(bordered)
+        for u in range(n):
+            keep = [i for i in range(n) if i != u]
+            sub = [[a[i][j] for j in keep] for i in keep]
+            assert analysis.nullity(u) == len(keep) - linalg.rank(sub)
+            for v in range(u + 1, n):
+                keep = [i for i in range(n) if i not in (u, v)]
+                sub = [[a[i][j] for j in keep] for i in keep]
+                assert analysis.nullity(u, v) == len(keep) - linalg.rank(sub)
+
+
+def test_bordered_adjugate_from_a_scaled_inverse(monkeypatch, connected_upto_7):
+    # the modular route on every singular connected graph with n <= 7, and
+    # every answer unchanged when adj is replaced by a multiple of it, as a
+    # checked d M^-1 with d != det(M) would be
+    results = _record_scaled_inverse(monkeypatch)
+    for n in range(2, 8):
+        for g in connected_upto_7[n]:
+            if not graph_nullity(g):
+                continue
+            analysis = BorderedAdjugate(adjacency_matrix(g))
+            scaled = BorderedAdjugate.__new__(BorderedAdjugate)
+            scaled.n = n
+            scaled.adj = [[-3 * x for x in row] for row in analysis.adj]
+            for u in range(n):
+                assert analysis.nullity(u) == _sub_nullity(g, 1 << u), (g, u)
+                assert scaled.nullity(u) == analysis.nullity(u), (g, u)
+                for v in range(u + 1, n):
+                    expected = _sub_nullity(g, 1 << u | 1 << v)
+                    assert analysis.nullity(u, v) == expected, (g, u, v)
+                    assert scaled.nullity(u, v) == expected, (g, u, v)
+                    assert scaled.conducts(u, v) == analysis.conducts(u, v)
+    assert len(results) == 0 + 1 + 3 + 13 + 60 + 511 and all(results)  # n = 2..7
 
 
 # ---------------------------------------------------------------------------

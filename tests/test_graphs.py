@@ -1,5 +1,7 @@
 """Graph model, graph6 codec and structural predicates."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,31 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(65, [0] * 65)
+    with pytest.raises(ValueError):
+        Graph(2, [-1, 0])  # not a bitmask
+    with pytest.raises(ValueError):
+        Graph(64, [1 << 64] + [0] * 63)  # beyond 64 bits
+
+
+def test_graph_of_order_64_packs_its_rows():
+    # vertex 63 uses the top bit of its neighbours' 64-bit rows
+    edges = [(i, i + 1) for i in range(63)] + [(0, 63), (5, 63)]
+    g = Graph.from_edges(64, edges, loops=[63])
+    assert g.rows.typecode == "Q" and len(g.rows) == 64
+    assert g.has_edge(0, 63) and g.has_edge(63, 5) and g.has_loop(63)
+    assert g.rows[0] == 1 << 1 | 1 << 63
+    assert g.neighbors(63) == [0, 5, 62]
+    assert g.edge_count() == 65
+    same = Graph.from_edges(64, list(reversed(edges)), loops=[63])
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph.from_edges(64, edges)
+    assert g.without_loops() != Graph.from_edges(64, edges[:-1])
+    assert {g: 1}[same] == 1
+    clone = pickle.loads(pickle.dumps(g))
+    assert clone == g and hash(clone) == hash(g) and clone.rows == g.rows
+    simple = g.without_loops()
+    assert from_graph6(to_graph6(simple)) == simple
+    assert to_graph6(from_graph6(to_graph6(simple))) == to_graph6(simple)
 
 
 def test_delete_and_relabel():

@@ -7,9 +7,11 @@ import pytest
 from condgraph.conduction import conduction_graph
 from condgraph.fixtures import fixture
 from condgraph.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from condgraph.isomorphism import (are_isomorphic, automorphism_orbits,
-                                   canonical_data, canonical_form,
-                                   canonical_labeling, find_isomorphism)
+from condgraph import classify, isomorphism
+from condgraph.isomorphism import (TheoremCheckError, are_isomorphic,
+                                   automorphism_orbits, canonical_data,
+                                   canonical_form, canonical_labeling,
+                                   find_isomorphism)
 
 from conftest import brute_force_isomorphic, brute_force_orbits, random_graph
 
@@ -129,3 +131,11 @@ def test_generators_are_automorphisms(rng):
         data = canonical_data(g)
         for gen in data.generators:
             assert g.relabel(gen) == g
+
+
+def test_failed_witness_raises_theorem_check_error(monkeypatch):
+    assert classify.TheoremCheckError is TheoremCheckError
+    assert classify.check_theorem is isomorphism.check_theorem
+    monkeypatch.setattr(isomorphism, "verify_witness", lambda g1, g2, h: False)
+    with pytest.raises(TheoremCheckError, match="invalid witness"):
+        find_isomorphism(path_graph(4), path_graph(4))

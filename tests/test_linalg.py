@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condgraph import linalg
+from condgraph.census import enumerate_chemical, enumerate_connected
+from condgraph.families import min_deg2_graph
+from condgraph.fixtures import fixture
 from condgraph.graphs import adjacency_matrix, cycle_graph, path_graph
-from condgraph.linalg import (IntPolynomial, SingularMatrixError, adjugate,
-                              char_poly, char_poly_and_adjugate, det,
+from condgraph.linalg import (MODULUS, IntPolynomial, SingularMatrixError,
+                              adjugate, char_poly, char_poly_and_adjugate, det,
                               float_spectrum, inverse, kernel_basis, nullity,
-                              rank, zero_root_multiplicity)
+                              rank, scaled_inverse, zero_root_multiplicity)
 
 from conftest import cofactor_adjugate, rational_rref_rank
 
@@ -143,6 +147,88 @@ def test_adjugate_identity_and_inverse_relation(connected_upto_7, rng):
                 inv = inverse(a)
                 assert all(Fraction(adj[i][j], d) == inv[i][j]
                            for i in range(g.n) for j in range(g.n))
+
+
+# ---------------------------------------------------------------------------
+# scaled inverse modulo one prime
+# ---------------------------------------------------------------------------
+
+def _assert_is_adjugate(a):
+    d, x = scaled_inverse(a)
+    assert x.tolist() == adjugate(a)
+    assert d == det(a)
+
+
+def test_scaled_inverse_is_the_adjugate_on_connected_graphs(connected_upto_7):
+    # every nonsingular connected graph with n <= 8; production asks for it
+    # only from conduction.MODULAR_MIN_ORDER on
+    checked = 0
+    graphs = [g for n in range(1, 8) for g in connected_upto_7[n]]
+    for g in graphs + list(enumerate_connected(8)):
+        a = A(g)
+        if rank(a) < g.n:
+            assert scaled_inverse(a) is None
+            continue
+        _assert_is_adjugate(a)
+        checked += 1
+    assert checked == 0 + 1 + 1 + 3 + 8 + 52 + 342 + 5724  # n = 1..8
+
+
+def test_scaled_inverse_is_the_adjugate_on_chemical_graphs():
+    checked = 0
+    for g in enumerate_chemical(10):
+        a = A(g)
+        if rank(a) == g.n:
+            _assert_is_adjugate(a)
+            checked += 1
+    assert checked == 917
+
+
+def _bordered(a):
+    z = kernel_basis(a)
+    m = [row + [vec[i] for vec in z] for i, row in enumerate(a)]
+    return m + [vec + [0] * len(z) for vec in z]
+
+
+def test_scaled_inverse_is_the_adjugate_on_large_graphs():
+    # the benchmark's large inputs (C40 and P41 through the bordered matrix
+    # that production inverts) and the minimum-degree-2 family up to n = 64
+    for g in (cycle_graph(40), path_graph(41)):
+        assert scaled_inverse(A(g)) is None
+        _assert_is_adjugate(_bordered(A(g)))
+    _assert_is_adjugate(A(fixture("fig6reg24")))
+    for k in range(2, 17):
+        _assert_is_adjugate(A(min_deg2_graph(k)))
+
+
+def test_scaled_inverse_refuses_what_the_prime_cannot_decide():
+    # det = p: singular modulo p
+    a = [[MODULUS, 0], [0, 1]]
+    assert det(a) == MODULUS and scaled_inverse(a) is None
+    a = [[1 << 16, 1], [1, 1 << 15]]
+    assert det(a) == MODULUS and scaled_inverse(a) is None
+    # det = 3 * 2**30 lifts to a wrong residue, and the cofactor 3 * 2**30
+    # exceeds p/2; the integer check refuses the lifted pair
+    a = [[1 << 30, 0, 0], [0, 3, 0], [0, 0, 1]]
+    assert max(max(map(abs, row)) for row in adjugate(a)) > MODULUS // 2
+    assert scaled_inverse(a) is None
+    # a scaled result that does pass is exactly d A^-1, though not adj(A)
+    d, x = scaled_inverse([[2, 0], [0, 2]])
+    assert mat_mul([[2, 0], [0, 2]], x.tolist()) == [[d, 0], [0, d]]
+
+
+def test_scaled_inverse_keeps_overflowing_input_from_numpy(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} reached")
+
+    monkeypatch.setattr(linalg, "np", NoNumpy())
+    assert scaled_inverse([[1 << 63]]) is None
+    assert scaled_inverse([[-(1 << 64), 1], [1, 0]]) is None
+    # entries that fit int64, row sums that would not stay exact
+    row = [1 << 29] * 5
+    assert scaled_inverse([row[:] for _ in range(5)]) is None
+    assert scaled_inverse([]) is None
 
 
 # ---------------------------------------------------------------------------
