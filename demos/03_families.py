@@ -6,36 +6,31 @@ explicit witness map.  This script builds one member of each, verifies the
 witness edge-by-edge, and shows the corona spectrum relation.
 """
 
-from condgraph import (canonical_double_cover, comb, conduction_graph,
-                       corona_spectrum, cycle_graph, float_spectrum,
-                       adjacency_matrix, is_conduction_isomorphic, radialene,
-                       to_graph6, verify_witness)
-from condgraph.classify import conduction_isomorphism
-from condgraph.families import (appendix_family_graph, appendix_witness,
-                                cdc_witness, corona, corona_witness,
-                                large_min_deg_graph, large_min_deg_witness,
-                                min_deg2_graph, min_deg2_witness)
+from condgraph import (FAMILIES, adjacency_matrix, build_family,
+                       conduction_graph, corona, corona_spectrum, cycle_graph,
+                       float_spectrum, is_conduction_isomorphic, path_graph,
+                       radialene, to_graph6, verify_witness, witness_isomorphism)
 
-
-def check(name, g, witness):
-    cg = conduction_graph(g).graph
-    ok = verify_witness(g, cg, witness)
-    print(f"{name:>28}: n={g.n:2}  {to_graph6(g):>12}  witness ok: {ok}")
-    assert ok and is_conduction_isomorphic(g)
+# one member per family: (name, k, base graph)
+MEMBERS = [
+    ("comb", 4, None),
+    ("radialene", 5, None),
+    ("corona", 2, path_graph(3)),  # two corona rounds over the 3-path
+    ("min_deg2", 4, None),
+    ("large_min_deg", 5, None),
+    ("appendix", 4, None),
+    ("cdc", None, radialene(3)),
+]
 
 
 def main():
-    check("comb (corona of a path)", comb(4), corona_witness(8))
-    check("radialene (corona of C5)", radialene(5), corona_witness(10))
-    check("corona of the cube Q3", corona(cycle_graph(8)), corona_witness(16))
-    check("min degree two, k=4", min_deg2_graph(4), min_deg2_witness(4))
-    check("min degree 2k-5, k=5", large_min_deg_graph(5), large_min_deg_witness(5))
-    check("pendant family, k=4", appendix_family_graph(4), appendix_witness(4))
-
-    rad3 = radialene(3)
-    cover = canonical_double_cover(rad3)
-    check("double cover of radialene",
-          cover, cdc_witness(conduction_isomorphism(rad3)))
+    for name, k, base in MEMBERS:
+        g = build_family(name, k, base)
+        cg = conduction_graph(g).graph
+        ok = verify_witness(g, cg, witness_isomorphism(name, k, base))
+        print(f"{name:>14}: n={g.n:2}  {to_graph6(g):>12}  witness ok: {ok}")
+        assert ok and is_conduction_isomorphic(g)
+    assert {name for name, _, _ in MEMBERS} == set(FAMILIES)
 
     print()
     base = cycle_graph(5)

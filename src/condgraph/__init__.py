@@ -18,8 +18,7 @@ from .linalg import (IntPolynomial, SingularMatrixError, adjugate, char_poly,
                      det, float_spectrum, inverse, kernel_basis, nullity,
                      zero_root_multiplicity)
 from .conduction import (ConductionGraph, DeviceVerdict, NullitySignature,
-                         Rule, booleanise, conduction_graph,
-                         conduction_graph_nullity1_blocks, device_verdict,
+                         Rule, booleanise, conduction_graph, device_verdict,
                          graph_nullity, nullity_signature)
 from .classify import (ClassCode, ClassificationReport, TheoremCheckError,
                        class_code, classification_report,
@@ -29,7 +28,7 @@ from .classify import (ClassCode, ClassificationReport, TheoremCheckError,
 from .isomorphism import (CanonicalData, are_isomorphic, automorphism_orbits,
                           canonical_form, canonical_labeling, find_isomorphism,
                           verify_witness)
-from .families import (Family, FamilySpec, appendix_family_graph, build_family,
+from .families import (FAMILIES, appendix_family_graph, build_family,
                        canonical_double_cover, comb, corona, corona_spectrum,
                        f_matrix, large_min_deg_graph, min_deg2_graph, radialene,
                        witness_isomorphism)

@@ -312,8 +312,11 @@ def run_census(source, record_all: bool = False, on_skip=None):
 
     Returns (summary, records); records cover the conduction-isomorphic
     positives, or every graph when ``record_all`` is set, sorted by order and
-    canonical graph6.  Disconnected or looped input is skipped with a
-    diagnostic through ``on_skip``.
+    canonical graph6.  A recorded graph's verdict, in the summary and in its
+    record, is the one :func:`classification_report` decides; without
+    ``record_all`` the cheaper :func:`conduction_isomorphism` screen runs
+    first and only its positives are recorded.  Disconnected or looped
+    input is skipped with a diagnostic through ``on_skip``.
     """
     summary = CensusSummary()
     records = []
@@ -322,20 +325,15 @@ def run_census(source, record_all: bool = False, on_skip=None):
             if on_skip is not None:
                 on_skip(g, "input graph must be connected and simple")
             continue
-        witness = conduction_isomorphism(g)
-        cond_iso = witness is not None
-        non_bip = cond_iso and not is_bipartite(g)
-        summary.add(g.n, cond_iso, non_bip)
-        if cond_iso or record_all:
-            rec = census_record(g)
-            if cond_iso:
-                # Corollary chain for every positive
-                check_theorem(rec.nullity == 0 and rec.ipso_omni_ins,
-                              f"positive {rec.graph6} is singular or looped")
-                check_theorem(sorted(g.degree(v) for v in range(g.n)) ==
-                              sorted(g.degree(witness[v]) for v in range(g.n)),
-                              f"witness of {rec.graph6} changes degrees")
-            records.append(rec)
+        if not record_all and conduction_isomorphism(g) is None:
+            summary.add(g.n, False, False)
+            continue
+        rec = census_record(g)
+        if not record_all:
+            check_theorem(rec.cond_iso,
+                          f"screen positive {rec.graph6} fails its record")
+        summary.add(g.n, rec.cond_iso, rec.cond_iso and not rec.bipartite)
+        records.append(rec)
     records.sort(key=lambda r: (r.n, r.graph6))
     return summary, records
 
@@ -370,13 +368,16 @@ class CensusStore:
     """Per-order census files in a directory.
 
     ``census_n<k>.csv`` accumulates records (header once), ``positives_n<k>.g6``
-    the conduction-isomorphic graphs, and ``manifest_n<k>.txt`` one line per
-    completed shard: ``shard_id,count,checksum`` followed by the shard's
-    summary rows, four fields ``order,total,cond_iso,cond_iso_nonbipartite``
-    per order.  Without an order (an ingested file of any orders) the files
-    are ``census_ingest.csv``, ``positives_ingest.g6`` and
-    ``manifest_ingest.txt``.  Re-running skips completed shards and takes
-    their totals from the manifest; every shard's bytes are reproducible.
+    the conduction-isomorphic graphs, and ``manifest_n<k>.txt`` the run's
+    settings, ``mode=<mode>,n=<order>,shards=<count>,record_all=<0|1>``,
+    then one line per completed shard: ``shard_id,count,checksum`` followed
+    by the shard's summary rows, four fields
+    ``order,total,cond_iso,cond_iso_nonbipartite`` per order.  Without an
+    order (an ingested file of any orders) the files are
+    ``census_ingest.csv``, ``positives_ingest.g6`` and
+    ``manifest_ingest.txt``, and the settings say ``n=ingest``.  Re-running
+    with the same settings skips completed shards and takes their totals
+    from the manifest; every shard's bytes are reproducible.
     """
 
     def __init__(self, outdir, n: int | None):
@@ -388,12 +389,37 @@ class CensusStore:
         self.sidecar_path = self.dir / f"positives_{tag}.g6"
         self.manifest_path = self.dir / f"manifest_{tag}.txt"
 
+    def begin(self, settings: str) -> dict[int, CensusSummary]:
+        """Start the manifest with ``settings``, or refuse a manifest that
+        was written with other settings (or before settings were stored):
+        shards of another split would repeat or miss graphs.
+
+        Returns :meth:`completed_summaries`.  Rows that a stopped run
+        appended after its last manifest line are cut from the CSV and the
+        sidecar, because the rerun writes them again.
+        """
+        lines = self.manifest_path.read_text().splitlines() \
+            if self.manifest_path.exists() else []
+        if not lines:
+            self.manifest_path.write_text(settings + "\n")
+        elif lines[0] != settings:
+            stored = lines[0] if lines[0].startswith("mode=") else "no settings"
+            raise ValueError(f"census store {self.manifest_path} holds {stored}; "
+                             f"this run asks for {settings}")
+        done = self.completed_summaries()
+        rows = sum(int(line.split(",")[1]) for line in lines[1:] if line.strip())
+        positives = sum(row[1] for part in done.values()
+                        for row in part.counts.values())
+        _keep_lines(self.csv_path, 1 + rows)
+        _keep_lines(self.sidecar_path, positives)
+        return done
+
     def completed_summaries(self) -> dict[int, CensusSummary]:
         """Each completed shard's id mapped to the summary it stored."""
         if not self.manifest_path.exists():
             return {}
         done = {}
-        for line in self.manifest_path.read_text().splitlines():
+        for line in self.manifest_path.read_text().splitlines()[1:]:
             if not line.strip():
                 continue
             fields = line.split(",")
@@ -425,6 +451,17 @@ class CensusStore:
             fh.write(",".join(map(str, fields)) + "\n")
 
 
+def _keep_lines(path: Path, count: int):
+    """Cut a text file after its first ``count`` lines."""
+    if not path.exists():
+        return
+    with open(path, "rb+") as fh:
+        for _ in range(count):
+            if not fh.readline():
+                return
+        fh.truncate()
+
+
 def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
                           jobs: int = 1, record_all: bool = False,
                           source_path=None, on_error=None) -> CensusSummary:
@@ -436,11 +473,14 @@ def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
     ``n`` may be None when ``source_path`` gives the graphs.  Every shard
     reads the whole source, so its unparsable lines are reported to
     ``on_error`` (line number, message) once, from the first shard run.
+    A store made with another mode, order, shard count or ``record_all``
+    raises ValueError.
     """
     if mode not in ("connected", "chemical"):
         raise ValueError("mode must be 'connected' or 'chemical'")
     store = CensusStore(outdir, n)
-    done = store.completed_summaries()
+    done = store.begin(f"mode={mode},n={'ingest' if n is None else n},"
+                       f"shards={shards},record_all={int(record_all)}")
     summary = CensusSummary()
     for part in done.values():
         summary.merge(part)

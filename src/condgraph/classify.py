@@ -25,7 +25,7 @@ def is_ipso_omni_insulator(g: Graph) -> bool:
     cg = conduction_graph(g)
     if cg.graph.loops:
         return False
-    check_theorem(graph_nullity(g) == 0,
+    check_theorem(cg.nullity == 0,
                   "loopless conduction graph on a singular graph")
     return True
 
@@ -216,12 +216,16 @@ def classification_report(g: Graph) -> ClassificationReport:
     cg = conduction_graph(g)
     eta = cg.nullity
     loopless = cg.graph.loops == 0
-    cond_iso = _isomorphism_onto(g, cg.graph.rows, cg.graph.loops) is not None
-    if cond_iso:
+    witness = _isomorphism_onto(g, cg.graph.rows, cg.graph.loops)
+    if witness is not None:
         # Corollary chain: conduction-isomorphic forces nullity 0 and an
-        # ipso omni-insulator; a violation here is a bug, not data.
+        # ipso omni-insulator, and the witness keeps every degree; a
+        # violation here is a bug, not data.
         check_theorem(eta == 0 and loopless,
                       "conduction-isomorphic graph that is singular or looped")
+        check_theorem(all(g.degree(v) == cg.graph.degree(witness[v])
+                          for v in range(g.n)),
+                      "conduction-isomorphism witness changes degrees")
     # all core: every single deletion drops the nullity (no zero border row)
     all_core = eta > 0 and all(cg.analysis.nullity(v) == eta - 1
                                for v in range(g.n))
@@ -235,7 +239,7 @@ def classification_report(g: Graph) -> ClassificationReport:
         is_ipso_omni_insulator=loopless,
         is_nut=all_core and eta == 1 and g.n > 1,
         is_ucg=is_ucg,
-        is_conduction_isomorphic=cond_iso,
+        is_conduction_isomorphic=witness is not None,
         code=class_code(g, cg),
         component_count=cg.component_count(),
         loop_count=cg.loop_count(),

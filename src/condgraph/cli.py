@@ -125,10 +125,15 @@ def _cmd_census(args) -> int:
         print("census needs --n or --ingest", file=sys.stderr)
         return EXIT_INPUT
     if args.out:
-        summary = census_mod.run_census_persistent(
-            args.mode, args.n, args.out, shards=args.shards, jobs=args.jobs,
-            record_all=args.all, source_path=args.ingest,
-            on_error=lambda ln, msg: print(f"line {ln}: {msg}", file=sys.stderr))
+        try:
+            summary = census_mod.run_census_persistent(
+                args.mode, args.n, args.out, shards=args.shards, jobs=args.jobs,
+                record_all=args.all, source_path=args.ingest,
+                on_error=lambda ln, msg: print(f"line {ln}: {msg}",
+                                               file=sys.stderr))
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_INPUT
         rows = sorted(summary.counts)
         for n in rows:
             total, ci, nb = summary.row(n)
@@ -158,44 +163,14 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
-_FAMILY_NAMES = ("corona", "comb", "radialene", "min_deg2", "large_min_deg",
-                 "cdc", "appendix")
-
-
-def _build_family(args):
-    name = args.name
-    if name == "corona":
-        if not args.base:
-            raise ValueError("corona needs --base")
-        return families.corona(from_graph6(args.base), args.k or 1)
-    if name == "comb":
-        return families.comb(args.k)
-    if name == "radialene":
-        return families.radialene(args.k)
-    if name == "min_deg2":
-        return families.min_deg2_graph(args.k)
-    if name == "large_min_deg":
-        return families.large_min_deg_graph(args.k)
-    if name == "cdc":
-        if not args.base:
-            raise ValueError("cdc needs --base")
-        return families.canonical_double_cover(from_graph6(args.base))
-    if name == "appendix":
-        return families.appendix_family_graph(args.k)
-    raise ValueError(f"unknown family {name}")
-
-
 def _cmd_family(args) -> int:
-    if args.name not in _FAMILY_NAMES:
-        print(f"unknown family {args.name!r}; choose from {_FAMILY_NAMES}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    if args.name in ("comb", "radialene", "min_deg2", "large_min_deg",
-                     "appendix") and args.k is None:
-        print(f"family {args.name} needs --k", file=sys.stderr)
+    family = families.FAMILIES.get(args.name)
+    if family is not None and getattr(args, family.needs) is None:
+        print(f"family {args.name} needs --{family.needs}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        g = _build_family(args)
+        base = None if args.base is None else from_graph6(args.base)
+        g = families.build_family(args.name, args.k, base)
     except (ValueError, Graph6Error) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT

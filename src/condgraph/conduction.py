@@ -220,15 +220,6 @@ def nullity_signature(g: Graph, u: int, v: int) -> NullitySignature:
     return NullitySignature(eta, eta_u, eta_v, eta_uv)
 
 
-def _jsquared(g: Graph, u: int, v: int) -> IntPolynomial:
-    """The numerator polynomial u*t - s*v of the device (square by Jacobi)."""
-    s = _sub_char_poly(g, 0)
-    t = _sub_char_poly(g, 1 << u)
-    uu = _sub_char_poly(g, 1 << v)
-    vv = _sub_char_poly(g, 1 << u | 1 << v)
-    return uu * t - s * vv
-
-
 def _make_jtester(g: Graph, eta: int):
     """Equal-nullity resolver with lazy per-graph polynomial caching.
 
@@ -498,25 +489,3 @@ def _pattern(adj) -> tuple[list[int], int]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows, loops
-
-
-@dataclass(frozen=True)
-class VertexClasses:
-    core: tuple[int, ...]
-    middle: tuple[int, ...]
-    upper: tuple[int, ...]
-
-
-def conduction_graph_nullity1_blocks(g: Graph):
-    """Core/middle/upper partition plus the conduction graph (nullity 1 only).
-
-    The classes are the vertices whose deletion drops, keeps or raises the
-    nullity, read from the bordered adjugate that built the conduction graph.
-    """
-    cg = conduction_graph(g)
-    if cg.nullity != 1:
-        raise ValueError(f"expected nullity 1, got {cg.nullity}")
-    classes = ([], [], [])
-    for v in range(g.n):
-        classes[cg.analysis.nullity(v)].append(v)  # eta(G-v) is 0, 1 or 2
-    return VertexClasses(*map(tuple, classes)), cg

@@ -16,27 +16,12 @@ modular.
 
 from __future__ import annotations
 
-import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graphs import (MAX_VERTICES, Graph, cycle_graph, graph_from_adjacency,
                      path_graph)
-
-
-class Family(enum.Enum):
-    CORONA = "corona"
-    MIN_DEG2 = "min_deg2"
-    LARGE_MIN_DEG = "large_min_deg"
-    CDC = "cdc"
-    APPENDIX = "appendix"
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: Family
-    k: int | None = None          # size parameter / corona iterations
-    base: Graph | None = None     # corona and cdc take a base graph
 
 
 # ---------------------------------------------------------------------------
@@ -253,45 +238,70 @@ def appendix_witness(k: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# dispatch by name
 # ---------------------------------------------------------------------------
 
-def build_family(spec: FamilySpec) -> Graph:
-    if spec.family is Family.CORONA:
-        if spec.base is None:
-            raise ValueError("corona needs a base graph")
-        return corona(spec.base, spec.k or 1)
-    if spec.family is Family.MIN_DEG2:
-        return min_deg2_graph(spec.k)
-    if spec.family is Family.LARGE_MIN_DEG:
-        return large_min_deg_graph(spec.k)
-    if spec.family is Family.CDC:
-        if spec.base is None:
-            raise ValueError("cdc needs a base graph")
-        return canonical_double_cover(spec.base)
-    if spec.family is Family.APPENDIX:
-        return appendix_family_graph(spec.k)
-    raise ValueError(f"unsupported family {spec.family}")
+@dataclass(frozen=True)
+class _Family:
+    needs: str  # the parameter that must be given: "k" or "base"
+    build: Callable[[int | None, Graph | None], Graph]
+    witness: Callable[[int | None, Graph | None], list[int]]
 
 
-def witness_isomorphism(spec: FamilySpec) -> list[int]:
-    """The paper family's explicit bijection onto the conduction graph."""
-    if spec.family is Family.CORONA:
-        if spec.base is None:
-            raise ValueError("corona needs a base graph")
-        return corona_witness(spec.base.n << (spec.k or 1))
-    if spec.family is Family.MIN_DEG2:
-        return min_deg2_witness(spec.k)
-    if spec.family is Family.LARGE_MIN_DEG:
-        return large_min_deg_witness(spec.k)
-    if spec.family is Family.CDC:
-        from .classify import conduction_isomorphism
-        if spec.base is None:
-            raise ValueError("cdc needs a base graph")
-        base_witness = conduction_isomorphism(spec.base)
-        if base_witness is None:
-            raise ValueError("cdc base graph is not conduction-isomorphic")
-        return cdc_witness(base_witness)
-    if spec.family is Family.APPENDIX:
-        return appendix_witness(spec.k)
-    raise ValueError(f"unsupported family {spec.family}")
+def _rounds(k: int | None) -> int:
+    """Corona rounds: one when ``k`` is not given."""
+    if k is None:
+        return 1
+    if k < 1:
+        raise ValueError("iterations must be >= 1")
+    return k
+
+
+def _cdc_witness_of(base: Graph) -> list[int]:
+    from .classify import conduction_isomorphism
+    base_witness = conduction_isomorphism(base)
+    if base_witness is None:
+        raise ValueError("cdc base graph is not conduction-isomorphic")
+    return cdc_witness(base_witness)
+
+
+# every family by its command-line name; ``k`` is the size parameter (the
+# number of corona rounds, default 1, for ``corona``)
+FAMILIES = {
+    "corona": _Family("base", lambda k, base: corona(base, _rounds(k)),
+                      lambda k, base: corona_witness(base.n << _rounds(k))),
+    "comb": _Family("k", lambda k, base: comb(k),
+                    lambda k, base: corona_witness(2 * k)),
+    "radialene": _Family("k", lambda k, base: radialene(k),
+                         lambda k, base: corona_witness(2 * k)),
+    "min_deg2": _Family("k", lambda k, base: min_deg2_graph(k),
+                        lambda k, base: min_deg2_witness(k)),
+    "large_min_deg": _Family("k", lambda k, base: large_min_deg_graph(k),
+                             lambda k, base: large_min_deg_witness(k)),
+    "cdc": _Family("base", lambda k, base: canonical_double_cover(base),
+                   lambda k, base: _cdc_witness_of(base)),
+    "appendix": _Family("k", lambda k, base: appendix_family_graph(k),
+                        lambda k, base: appendix_witness(k)),
+}
+
+
+def _family(name: str, k, base) -> _Family:
+    family = FAMILIES.get(name)
+    if family is None:
+        raise ValueError(f"unknown family {name!r}; choose from "
+                         f"{', '.join(FAMILIES)}")
+    if (k if family.needs == "k" else base) is None:
+        raise ValueError(f"family {name} needs {family.needs}")
+    return family
+
+
+def build_family(name: str, k: int | None = None,
+                 base: Graph | None = None) -> Graph:
+    """The member of the named family with size ``k`` or over ``base``."""
+    return _family(name, k, base).build(k, base)
+
+
+def witness_isomorphism(name: str, k: int | None = None,
+                        base: Graph | None = None) -> list[int]:
+    """The named family's explicit bijection onto the conduction graph."""
+    return _family(name, k, base).witness(k, base)

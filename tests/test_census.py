@@ -5,9 +5,11 @@ import io
 
 import pytest
 
+from condgraph import linalg
 from condgraph.census import (CensusStore, census_record, enumerate_chemical,
                               enumerate_connected, ingest_graph6, run_census,
                               run_census_persistent, verify_family_coverage)
+from condgraph.conduction import conduction_graph
 from condgraph.fixtures import fixture
 from condgraph.graphs import Graph, from_graph6, to_graph6
 from condgraph.isomorphism import canonical_form
@@ -120,6 +122,42 @@ def test_record_all_flag():
     assert sum(r.cond_iso for r in records) == 1
 
 
+def test_record_all_keeps_the_screen_verdicts(connected_upto_7):
+    # with record_all the report decides every verdict; without it the
+    # screen does, and only its positives are recorded
+    classes = [connected_upto_7[n] for n in range(1, 8)]
+    classes += [list(enumerate_chemical(n)) for n in range(1, 11)]
+    for graphs in classes:
+        every, records = run_census(graphs, record_all=True)
+        screened, positives = run_census(graphs)
+        assert every.counts == screened.counts
+        assert len(records) == len(graphs)
+        assert [r for r in records if r.cond_iso] == positives
+
+
+def _count_eliminations(monkeypatch) -> dict:
+    counts = {"_echelon": 0, "char_poly_and_adjugate": 0}
+    for name in counts:
+        def counted(a, _name=name, _real=getattr(linalg, name)):
+            counts[_name] += 1
+            return _real(a)
+        monkeypatch.setattr(linalg, name, counted)
+    return counts
+
+
+def test_record_all_eliminates_as_conduction_graph_does(monkeypatch):
+    # a recorded graph is classified once: no screen before its record
+    graphs = list(enumerate_chemical(10))
+    counts = _count_eliminations(monkeypatch)
+    for g in graphs:
+        conduction_graph(g)
+    alone = dict(counts)
+    assert alone["_echelon"] == len(graphs) == 1733
+    counts.update(dict.fromkeys(counts, 0))
+    run_census(graphs, record_all=True)
+    assert counts == alone
+
+
 def test_persistent_census_and_resume(tmp_path):
     outdir = tmp_path / "census"
     s1 = run_census_persistent("connected", 5, outdir, shards=3)
@@ -134,9 +172,12 @@ def test_persistent_census_and_resume(tmp_path):
     assert s2.counts == {5: [21, 0, 0]}
     assert store.csv_path.read_bytes() == csv_bytes
     assert store.manifest_path.read_bytes() == manifest
-    # manifest rows are shard,count,checksum,order,total,cond_iso,nonbipartite
+    # the settings line, then rows shard,count,checksum,order,total,cond_iso,
+    # nonbipartite
+    settings, *lines = manifest.decode().splitlines()
+    assert settings == "mode=connected,n=5,shards=3,record_all=0"
     totals = 0
-    for line in manifest.decode().splitlines():
+    for line in lines:
         shard, count, checksum, order, total, ci, nb = line.split(",")
         assert int(shard) in (0, 1, 2) and int(count) >= 0 and len(checksum) == 16
         assert int(order) == 5 and (int(ci), int(nb)) == (0, 0)
@@ -149,10 +190,11 @@ def test_persistent_census_partial_resume(tmp_path):
     run_census_persistent("connected", 6, outdir, shards=4)
     store = CensusStore(outdir, 6)
     full = store.csv_path.read_text()
-    # simulate an interrupted run: keep only the first shard's output
+    # simulate an interrupted run: keep only the settings and the first
+    # shard's output
     lines = store.manifest_path.read_text().splitlines()
-    store.manifest_path.write_text(lines[0] + "\n")
-    first_count = int(lines[0].split(",")[1])
+    store.manifest_path.write_text("\n".join(lines[:2]) + "\n")
+    first_count = int(lines[1].split(",")[1])
     kept = full.splitlines()[:1 + first_count]
     store.csv_path.write_text("\n".join(kept) + ("\n" if kept else ""))
     s = run_census_persistent("connected", 6, outdir, shards=4)
@@ -160,6 +202,31 @@ def test_persistent_census_partial_resume(tmp_path):
     assert store.completed_shards() == {0, 1, 2, 3}
     # the completed shard's totals come from the manifest
     assert s.row(6) == (112, 4, 2)
+
+
+def test_persistent_census_refuses_other_settings(tmp_path):
+    outdir = tmp_path / "census"
+    run_census_persistent("connected", 6, outdir, shards=2)
+    store = CensusStore(outdir, 6)
+    lines = store.manifest_path.read_text().splitlines()
+    store.manifest_path.write_text("\n".join(lines[:-1]) + "\n")
+    csv_text = store.csv_path.read_text()
+    # another split would repeat some graphs and miss others
+    with pytest.raises(ValueError) as info:
+        run_census_persistent("connected", 6, outdir, shards=3)
+    assert "shards=2" in str(info.value) and "shards=3" in str(info.value)
+    with pytest.raises(ValueError, match="record_all=1"):
+        run_census_persistent("connected", 6, outdir, shards=2, record_all=True)
+    assert store.csv_path.read_text() == csv_text
+    # the same settings resume, give the full totals and write the stopped
+    # shard's rows once
+    assert run_census_persistent("connected", 6, outdir, shards=2).row(6) == (112, 4, 2)
+    assert store.csv_path.read_text() == csv_text
+    assert len(store.sidecar_path.read_text().split()) == 4
+    # a manifest without a settings line is refused as well
+    store.manifest_path.write_text("\n".join(lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="no settings"):
+        run_census_persistent("connected", 6, outdir, shards=2)
 
 
 def test_persistent_census_parallel(tmp_path):

@@ -150,6 +150,12 @@ def test_report_reads_the_analysis(connected_upto_7, monkeypatch):
         calls.clear()
         classification_report(g)
         assert len(calls) <= 2, g
+    # the omni-insulator predicate checks its theorem with the nullity that
+    # built G^C, not with a second elimination
+    for g in (complete_bipartite_graph(3, 3), cycle_graph(12), path_graph(4)):
+        calls.clear()
+        is_ipso_omni_insulator(g)
+        assert len(calls) <= 1, g
 
 
 def test_theorem_check_survives_optimisation(tmp_path):

@@ -94,6 +94,23 @@ def test_census_ingest_and_persistent(capsys, tmp_path):
     assert code == 0 and out.strip() == "5,21,0,0"
 
 
+def test_census_resume_with_other_shards_is_refused(capsys, tmp_path):
+    outdir = tmp_path / "store"
+    argv = ["census", "--mode", "connected", "--n", "6", "--out", str(outdir)]
+    code, out, _ = run(capsys, *argv, "--shards", "2")
+    assert code == 0 and out.strip() == "6,112,4,2"
+    manifest = outdir / "manifest_n6.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines[:-1]) + "\n")
+    code, out, err = run(capsys, *argv, "--shards", "3")
+    assert code == 2 and out == ""
+    assert "shards=2" in err and "shards=3" in err
+    code, out, _ = run(capsys, *argv, "--shards", "2")
+    assert code == 0 and out.strip() == "6,112,4,2"
+    rows = (outdir / "census_n6.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(set(rows)) == 4
+
+
 def test_census_persistent_ingest(capsys, tmp_path):
     # an ingested file without --n: named files, each bad line reported once
     src = tmp_path / "graphs.g6"

@@ -8,8 +8,7 @@ from condgraph import conduction, linalg
 from condgraph.census import enumerate_connected
 from condgraph.conduction import (BorderedAdjugate, ConductionGraph, DeviceVerdict,
                                   Rule, _conduction_by_rules, _sub_nullity,
-                                  booleanise, conduction_graph,
-                                  conduction_graph_nullity1_blocks, device_verdict,
+                                  booleanise, conduction_graph, device_verdict,
                                   graph_nullity, inverse_conduction_pattern,
                                   nullity_signature)
 from condgraph.families import min_deg2_graph
@@ -361,11 +360,20 @@ def test_bordered_adjugate_from_a_scaled_inverse(monkeypatch, connected_upto_7):
 # nullity-1 block structure
 # ---------------------------------------------------------------------------
 
+def _vertex_classes(cg):
+    """Core, middle and upper vertices of a nullity-1 graph: those whose
+    deletion drops, keeps or raises the nullity, read from the bordered
+    adjugate that built the conduction graph."""
+    assert cg.nullity == 1
+    classes = ([], [], [])
+    for v in range(cg.graph.n):
+        classes[cg.analysis.nullity(v)].append(v)
+    return classes
+
+
 def test_nullity1_blocks_p3():
-    classes, cg = conduction_graph_nullity1_blocks(path_graph(3))
-    assert classes.core == (0, 2)
-    assert classes.middle == ()
-    assert classes.upper == (1,)
+    cg = conduction_graph(path_graph(3))
+    assert _vertex_classes(cg) == ([0, 2], [], [1])
     assert cg.graph == Graph.from_edges(3, [(0, 2)], loops=[0, 2])
     # the core pair is decided without a double deletion; each core/non-core
     # pair fits the single insulating row of its shifts
@@ -374,11 +382,19 @@ def test_nullity1_blocks_p3():
     assert cg.verdict(1, 2) == DeviceVerdict(False, Rule.D_UP_DOWN_SAME)
 
 
-def test_nullity1_blocks_require_nullity_one():
-    with pytest.raises(ValueError):
-        conduction_graph_nullity1_blocks(path_graph(2))
-    with pytest.raises(ValueError):
-        conduction_graph_nullity1_blocks(cycle_graph(4))
+def test_nullity1_blocks_require_nullity_one(connected_upto_7):
+    # the core/core shortcut of the walk applies to nullity-1 graphs only:
+    # C4 is all core with nullity 2 and decides its pairs by the table
+    assert conduction_graph(path_graph(2)).analysis is None
+    c4 = conduction_graph(cycle_graph(4))
+    assert c4.nullity == 2
+    assert all(v.rule is not Rule.NULLITY1_BLOCKS for v in c4.verdicts.values())
+    for n in range(2, 8):
+        for g in connected_upto_7[n]:
+            cg = conduction_graph(g)
+            rules = {v.rule for v in cg.verdicts.values()}
+            if Rule.NULLITY1_BLOCKS in rules:
+                assert cg.nullity == 1, g
 
 
 def test_order7_nut_graphs_have_complete_looped_conduction_graph(connected_upto_7):
@@ -387,8 +403,8 @@ def test_order7_nut_graphs_have_complete_looped_conduction_graph(connected_upto_
     assert nuts, "order 7 must contain nut graphs"
     full = (1 << 7) - 1
     for g in nuts:
-        classes, cg = conduction_graph_nullity1_blocks(g)
-        assert classes.core == tuple(range(7))
+        cg = conduction_graph(g)
+        assert _vertex_classes(cg)[0] == list(range(7))
         assert cg.graph.loops == full
         assert cg.graph.edge_count() == 21  # complete graph
 
@@ -400,9 +416,8 @@ def test_adjugate_pattern_reveals_core_block(connected_upto_7):
         for g in connected_upto_7[n]:
             if graph_nullity(g) != 1:
                 continue
-            classes, cg = conduction_graph_nullity1_blocks(g)
+            core = set(_vertex_classes(conduction_graph(g))[0])
             pattern = booleanise(adjugate(adjacency_matrix(g)))
-            core = set(classes.core)
             for i in range(n):
                 assert pattern[i][i] == (2 if i in core else 0)
                 for j in range(i + 1, n):
@@ -416,8 +431,8 @@ def test_nullity1_core_block_structure(connected_upto_7):
         for g in connected_upto_7[n]:
             if graph_nullity(g) != 1:
                 continue
-            classes, cg = conduction_graph_nullity1_blocks(g)
-            core = set(classes.core)
+            cg = conduction_graph(g)
+            core = set(_vertex_classes(cg)[0])
             for u in core:
                 assert cg.graph.has_loop(u)
                 for v in range(g.n):
@@ -436,16 +451,3 @@ def test_nut_iff_connected_conduction_graph(connected_upto_7):
             cg = conduction_graph(g)
             connected = len(connected_components(cg.graph)) == 1
             assert connected == is_nut(g)
-
-
-# ---------------------------------------------------------------------------
-# jacobi square
-# ---------------------------------------------------------------------------
-
-def test_jsquared_is_perfect_square_small(connected_upto_7):
-    from condgraph.conduction import _jsquared
-    for n in range(2, 7):
-        for g in connected_upto_7[n]:
-            for u in range(n):
-                for v in range(u + 1, n):
-                    assert _jsquared(g, u, v).sqrt() is not None

@@ -6,7 +6,7 @@ import pytest
 
 from condgraph.classify import conduction_isomorphism, is_conduction_isomorphic
 from condgraph.conduction import conduction_graph
-from condgraph.families import (Family, FamilySpec, appendix_family_graph,
+from condgraph.families import (FAMILIES, appendix_family_graph,
                                 appendix_witness, build_family,
                                 canonical_double_cover, cdc_witness, comb,
                                 corona, corona_spectrum, corona_witness,
@@ -271,19 +271,35 @@ def test_appendix_bounds():
 # ---------------------------------------------------------------------------
 
 def test_build_family_and_witness_dispatch():
-    spec = FamilySpec(Family.MIN_DEG2, k=2)
-    assert build_family(spec) == min_deg2_graph(2)
-    assert witness_isomorphism(spec) == min_deg2_witness(2)
-    spec = FamilySpec(Family.CORONA, k=1, base=cycle_graph(3))
-    assert build_family(spec) == fixture("radialene3")
-    assert witness_isomorphism(spec) == corona_witness(6)
-    spec = FamilySpec(Family.CDC, base=fixture("radialene3"))
-    assert build_family(spec).n == 12
-    check_witness(build_family(spec), witness_isomorphism(spec))
+    assert build_family("min_deg2", k=2) == min_deg2_graph(2)
+    assert witness_isomorphism("min_deg2", k=2) == min_deg2_witness(2)
+    assert build_family("corona", k=1, base=cycle_graph(3)) == fixture("radialene3")
+    assert witness_isomorphism("corona", k=1, base=cycle_graph(3)) == corona_witness(6)
+    g = build_family("cdc", base=fixture("radialene3"))
+    assert g.n == 12
+    check_witness(g, witness_isomorphism("cdc", base=fixture("radialene3")))
+    assert build_family("comb", k=4) == comb(4)
+    check_witness(comb(4), witness_isomorphism("comb", k=4))
+    assert build_family("radialene", k=5) == radialene(5)
+    check_witness(radialene(5), witness_isomorphism("radialene", k=5))
+    # one entry per command-line name, each with a checked witness
+    assert list(FAMILIES) == ["corona", "comb", "radialene", "min_deg2",
+                              "large_min_deg", "cdc", "appendix"]
+    for name, family in FAMILIES.items():
+        k, base = (3, None) if family.needs == "k" else (None, fixture("radialene3"))
+        check_witness(build_family(name, k, base), witness_isomorphism(name, k, base))
     with pytest.raises(ValueError):
-        build_family(FamilySpec(Family.CORONA))
+        build_family("corona")
     with pytest.raises(ValueError):
-        witness_isomorphism(FamilySpec(Family.CDC, base=cycle_graph(4)))
+        build_family("corona", k=0, base=path_graph(2))
+    with pytest.raises(ValueError):
+        witness_isomorphism("corona", k=0, base=path_graph(2))
+    with pytest.raises(ValueError):
+        build_family("comb")
+    with pytest.raises(ValueError, match="unknown family"):
+        witness_isomorphism("nosuch", k=2)
+    with pytest.raises(ValueError):
+        witness_isomorphism("cdc", base=cycle_graph(4))
 
 
 def test_family_members_are_conduction_isomorphic_small():
