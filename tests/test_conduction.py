@@ -451,3 +451,16 @@ def test_nut_iff_connected_conduction_graph(connected_upto_7):
             cg = conduction_graph(g)
             connected = len(connected_components(cg.graph)) == 1
             assert connected == is_nut(g)
+
+
+# ---------------------------------------------------------------------------
+# jacobi square
+# ---------------------------------------------------------------------------
+
+def test_jsquared_is_perfect_square_small(connected_upto_7):
+    from condgraph.transmission import device_polynomials
+    for n in range(2, 7):
+        for g in connected_upto_7[n]:
+            for u in range(n):
+                for v in range(u + 1, n):
+                    assert device_polynomials(g, u, v).jsq.sqrt() is not None
