@@ -242,6 +242,25 @@ def ingest_graph6(path, on_error=None, dedupe: bool = False):
             yield g
 
 
+def census_source(mode: str, n: int | None, source_path, on_error=None):
+    """Every connected or chemical graph (``mode``) on ``n`` vertices, or
+    the graphs of the graph6 file ``source_path`` (see :func:`ingest_graph6`).
+
+    A bad mode, an order together with a file (whose graphs have orders of
+    their own) or neither raise ValueError before any graph is produced.
+    """
+    if mode not in ("connected", "chemical"):
+        raise ValueError("mode must be 'connected' or 'chemical'")
+    if source_path is not None:
+        if n is not None:
+            raise ValueError("census takes --n or --ingest, not both")
+        return ingest_graph6(source_path, on_error=on_error)
+    if n is None:
+        raise ValueError("census needs --n or --ingest")
+    return enumerate_connected(n) if mode == "connected" \
+        else enumerate_chemical(n)
+
+
 # ---------------------------------------------------------------------------
 # records and summaries
 # ---------------------------------------------------------------------------
@@ -350,12 +369,8 @@ def _shard_of(g6: str, shards: int) -> int:
 def _shard_job(args):
     mode, n, shard, shards, record_all, source_path = args
     errors = []
-    if source_path is not None:
-        source = ingest_graph6(source_path, on_error=lambda *err: errors.append(err))
-    elif mode == "connected":
-        source = enumerate_connected(n)
-    else:
-        source = enumerate_chemical(n)
+    source = census_source(mode, n, source_path,
+                           on_error=lambda *err: errors.append(err))
     stream = (g for g in source if _shard_of(to_graph6(g), shards) == shard)
     summary, records = run_census(stream, record_all=record_all)
     buf = io.StringIO()
@@ -470,14 +485,14 @@ def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
     Shards are processed in increasing id order (in parallel when jobs > 1)
     so completed output files are byte-stable across reruns.  Shards that an
     earlier run completed contribute the totals stored in the manifest.
-    ``n`` may be None when ``source_path`` gives the graphs.  Every shard
+    The graphs come from :func:`census_source` (``n`` or ``source_path``),
+    which checks its arguments before the store is touched.  Every shard
     reads the whole source, so its unparsable lines are reported to
     ``on_error`` (line number, message) once, from the first shard run.
     A store made with another mode, order, shard count or ``record_all``
     raises ValueError.
     """
-    if mode not in ("connected", "chemical"):
-        raise ValueError("mode must be 'connected' or 'chemical'")
+    census_source(mode, n, source_path)  # checks the arguments only
     store = CensusStore(outdir, n)
     done = store.begin(f"mode={mode},n={'ingest' if n is None else n},"
                        f"shards={shards},record_all={int(record_all)}")

@@ -121,37 +121,23 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.ingest is None and args.n is None:
-        print("census needs --n or --ingest", file=sys.stderr)
-        return EXIT_INPUT
-    if args.out:
-        try:
+    errors, records = [], []
+    try:
+        if args.out:
             summary = census_mod.run_census_persistent(
                 args.mode, args.n, args.out, shards=args.shards, jobs=args.jobs,
                 record_all=args.all, source_path=args.ingest,
-                on_error=lambda ln, msg: print(f"line {ln}: {msg}",
-                                               file=sys.stderr))
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_INPUT
-        rows = sorted(summary.counts)
-        for n in rows:
-            total, ci, nb = summary.row(n)
-            print(f"{n},{total},{ci},{nb}")
-        return EXIT_OK
-    if args.ingest is not None:
-        errors = []
-        source = census_mod.ingest_graph6(
-            args.ingest, on_error=lambda ln, msg: errors.append((ln, msg)))
-    elif args.mode == "connected":
-        source = census_mod.enumerate_connected(args.n)
-        errors = []
-    else:
-        source = census_mod.enumerate_chemical(args.n)
-        errors = []
-    summary, records = census_mod.run_census(
-        source, record_all=args.all,
-        on_skip=lambda g, msg: print(f"skipped: {msg}", file=sys.stderr))
+                on_error=lambda *err: errors.append(err))
+        else:
+            summary, records = census_mod.run_census(
+                census_mod.census_source(
+                    args.mode, args.n, args.ingest,
+                    on_error=lambda *err: errors.append(err)),
+                record_all=args.all,
+                on_skip=lambda g, msg: print(f"skipped: {msg}", file=sys.stderr))
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
     for lineno, msg in errors:
         print(f"line {lineno}: {msg}", file=sys.stderr)
     for n in sorted(summary.counts):

@@ -23,10 +23,10 @@ routes, chosen by the nullity:
   yields the block structure around the core vertices (a looped clique with
   no edges to the rest) directly.
 
-From order :data:`MODULAR_MIN_ORDER` on, adjugates come from
-:func:`linalg.scaled_inverse` (Gauss-Jordan modulo one prime, used only once
-A X = d I holds in the integers); below it, or when that check fails, from
-the exact Bareiss elimination and the Faddeev-LeVerrier recurrence.
+Both routes start from :func:`linalg.scaled_inverse` of the adjacency matrix,
+which returns a scaled inverse or raises :class:`SingularMatrixError` with
+the exact kernel basis that borders the matrix; it alone chooses between its
+modular and exact routes.
 
 The same walk over nullities of explicitly deleted subgraphs and the
 polynomial j-test, :func:`_conduction_by_rules`, is kept as the independent
@@ -36,22 +36,11 @@ reference the tests compare against.
 from __future__ import annotations
 
 import enum
-from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import linalg
 from .graphs import Graph, adjacency_matrix, is_connected
 from .linalg import IntPolynomial, SingularMatrixError
-
-
-# order from which adjugates are tried modulo a prime first.  Below it the
-# exact elimination is as fast or faster: on the census classes the modular
-# route first wins at order 9 for bordered matrices and at order 12 for
-# nonsingular graphs, and the census screens (n <= 12) stay exact.
-MODULAR_MIN_ORDER = 13
 
 
 class SignatureError(RuntimeError):
@@ -296,23 +285,20 @@ class BorderedAdjugate:
     kernel of B, which gives each eta(G-S) with |S| <= 2 in O(eta).
 
     Every test made on ``adj`` is homogeneous in its entries, so any nonzero
-    multiple of adj(M) gives the same answers; from order
-    :data:`MODULAR_MIN_ORDER` on, ``adj`` is the checked d M^-1 of
-    :func:`linalg.scaled_inverse` when that succeeds.  A nonsingular input
-    (eta = 0, M = A) gets the exact adj(A): callers reach it only once the
-    modular attempt on A has failed.
+    multiple of adj(M) gives the same answers; ``adj`` is the X of
+    :func:`linalg.scaled_inverse`, d M^-1 with d != 0.  ``kernel`` is the
+    kernel basis of A, as :class:`~condgraph.linalg.SingularMatrixError`
+    carries it.
     """
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, a):
-        z = linalg.kernel_basis(a)
-        bordered = [list(row) + [vec[i] for vec in z] for i, row in enumerate(a)]
-        bordered += [vec + [0] * len(z) for vec in z]
+    def __init__(self, a, kernel: list[list[int]]):
+        bordered = [list(row) + [vec[i] for vec in kernel]
+                    for i, row in enumerate(a)]
+        bordered += [vec + [0] * len(kernel) for vec in kernel]
         self.n = len(a)
-        scaled = linalg.scaled_inverse(bordered) \
-            if z and len(bordered) >= MODULAR_MIN_ORDER else None
-        self.adj = scaled[1].tolist() if scaled else linalg.adjugate(bordered)
+        self.adj = linalg.scaled_inverse(bordered)[1]
 
     @property
     def eta(self) -> int:
@@ -357,24 +343,19 @@ def conduction_graph(g: Graph) -> ConductionGraph:
     """Conduction graph of a connected simple graph.
 
     A nonsingular graph booleanises its scaled inverse; a singular one walks
-    the selection rules over its bordered adjugate.  Below
-    :data:`MODULAR_MIN_ORDER`, or when the modular inverse fails its check,
-    the one kernel echelon of :class:`BorderedAdjugate` decides singularity:
-    an empty kernel leaves the exact adj(A) to booleanise.  Both routes
-    agree with :func:`_conduction_by_rules` and :func:`device_verdict` on
-    every device (tested exhaustively on small orders).
+    the selection rules over the bordered adjugate built from the kernel
+    basis that :func:`linalg.scaled_inverse` raised with.  Both routes agree
+    with :func:`_conduction_by_rules` and :func:`device_verdict` on every
+    device (tested exhaustively on small orders).
     """
     _require_simple_connected(g)
-    a = adjacency_matrix(g)
-    pattern = _modular_pattern(a)
-    if pattern is None:
-        analysis = BorderedAdjugate(a)
-        if analysis.eta:
-            graph, verdicts = _walk(g.n, analysis.eta, analysis.nullity,
-                                    analysis.conducts)
-            return ConductionGraph(graph, verdicts, analysis.eta, analysis)
-        pattern = _pattern(analysis.adj)
-    rows, loops = pattern
+    try:
+        rows, loops = inverse_conduction_pattern(g)
+    except SingularMatrixError as exc:
+        analysis = BorderedAdjugate(adjacency_matrix(g), exc.kernel)
+        graph, verdicts = _walk(g.n, analysis.eta, analysis.nullity,
+                                analysis.conducts)
+        return ConductionGraph(graph, verdicts, analysis.eta, analysis)
     verdicts = {}
     for u in range(g.n):
         row = rows[u]
@@ -440,52 +421,21 @@ def _walk(n: int, eta: int, nullity, jtest) -> tuple[Graph, dict]:
     return Graph(n, rows, loops), verdicts
 
 
-def inverse_conduction_pattern(g: Graph) -> tuple[Sequence[int], int]:
+def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
     """Adjacency rows and loop mask of the conduction graph, nullity-0 route.
 
-    Works on an adjugate (or a checked nonzero multiple of it), whose zero
-    pattern equals the inverse's, so the whole computation stays in the
-    integers.  Without a modular result, one elimination decides
-    singularity and, for a singular graph, the nullity it raises with.
+    Reads the nonzero pattern of a scaled inverse, which equals the
+    inverse's, so the whole computation stays in the integers.  A singular
+    graph raises :class:`~condgraph.linalg.SingularMatrixError`.
     """
-    a = adjacency_matrix(g)
-    pattern = _modular_pattern(a)
-    if pattern is not None:
-        return pattern
-    r = linalg.rank(a)
-    if r < g.n:
-        raise SingularMatrixError(g.n - r)
-    return _pattern(linalg.adjugate(a))
-
-
-def _modular_pattern(a) -> tuple[array, int] | None:
-    """The nonzero pattern of the checked scaled inverse of ``a``, or None
-    below :data:`MODULAR_MIN_ORDER` or when the modular route fails."""
-    n = len(a)
-    if n < MODULAR_MIN_ORDER:
-        return None
-    scaled = linalg.scaled_inverse(a)
-    if scaled is None:
-        return None
-    nonzero = scaled[1] != 0
-    bits = np.left_shift(nonzero, np.arange(n, dtype=np.uint64),
-                         dtype=np.uint64)
-    loops = int(np.diagonal(bits).sum())
-    np.fill_diagonal(bits, 0)
-    rows = array("Q", bits.sum(axis=1, dtype=np.uint64).tobytes())
-    return rows, loops
-
-
-def _pattern(adj) -> tuple[list[int], int]:
-    """Rows and loop mask of the nonzero pattern of a symmetric matrix."""
-    n = len(adj)
-    rows = [0] * n
+    x = linalg.scaled_inverse(adjacency_matrix(g))[1]
+    rows = [0] * g.n
     loops = 0
-    for i in range(n):
-        if adj[i][i]:
+    for i in range(g.n):
+        if x[i][i]:
             loops |= 1 << i
-        for j in range(i + 1, n):
-            if adj[i][j]:
+        for j in range(i + 1, g.n):
+            if x[i][j]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows, loops

@@ -1,17 +1,19 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything that decides conduction is computed here without floating point:
-determinants, ranks and nullities use fraction-free (Bareiss) elimination over
-Python ints, kernel bases and inverses use `fractions.Fraction`, and integer
-characteristic polynomials plus adjugates come from the Faddeev-LeVerrier
-recurrence, whose divisions are exact for integer matrices.
+Everything that decides conduction is computed here without floating point.
+One fraction-free (Bareiss) elimination, :func:`_echelon`, serves every
+production answer: determinants, ranks, nullities and kernel bases (integer
+back-substitution, every division exact) from the echelon of A, and adj(A)
+or the kernel from the echelon of [A | I] in :func:`scaled_inverse`.  Integer
+characteristic polynomials come from the Faddeev-LeVerrier recurrence; its
+:func:`adjugate` and the `fractions.Fraction` :func:`inverse` are references.
 
-:func:`scaled_inverse` is the fast route to an adjugate of a larger matrix:
-Gauss-Jordan modulo the prime p = 2**31 - 1 in numpy int64.  That arithmetic
-is exact, not approximate: residues stay below 2**31, so every product of two
-is below 2**62.  No modular result is used before the integer check
-A X = d I holds, which makes X exactly d A^-1; when the check fails the
-caller takes the exact route.
+:func:`scaled_inverse` alone chooses the route to an adjugate.  From order
+:data:`MODULAR_MIN_ORDER` on it first tries Gauss-Jordan modulo the prime
+p = 2**31 - 1 in numpy int64.  That arithmetic is exact, not approximate:
+residues stay below 2**31, so every product of two is below 2**62.  No
+modular result is used before the integer check A X = d I holds, which makes
+X exactly d A^-1; when the check fails the echelon decides.
 
 Floating point is quarantined to :func:`float_spectrum`, which exists only for
 spectrum-shaped cross-checks (documented tolerance 1e-9 for the eigensolver,
@@ -24,17 +26,19 @@ stated).  That matches the scale of the problem: dense, symmetric, order <= 64.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 
 class SingularMatrixError(ValueError):
-    """Inversion was requested for a singular matrix; carries its nullity."""
+    """Inversion was requested for a singular matrix; carries its exact
+    kernel basis (as :func:`kernel_basis` gives it) and so its nullity."""
 
-    def __init__(self, nullity: int):
-        super().__init__(f"matrix is singular (nullity {nullity})")
-        self.nullity = nullity
+    def __init__(self, kernel: list[list[int]]):
+        super().__init__(f"matrix is singular (nullity {len(kernel)})")
+        self.kernel = kernel
+        self.nullity = len(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -106,54 +110,50 @@ def nullity(a) -> int:
 def kernel_basis(a) -> list[list[int]]:
     """Exact kernel basis of a square integer matrix.
 
-    Fraction-free row echelon first; rationals only enter the short
-    back-substitution per basis vector.  Returned vectors are primitive
-    integer vectors (content 1, first nonzero entry positive); the list is
+    Returned vectors are primitive integer vectors (content 1, first nonzero
+    entry positive), one per free column of the Bareiss echelon; the list is
     empty when the matrix is nonsingular.
     """
-    n = len(a)
     m, pivots, _ = _echelon(a)
-    pivot_cols = {c for _, c in pivots}
+    return _kernel(m, pivots, len(a))
+
+
+def _kernel(m, pivots, n: int) -> list[list[int]]:
+    """Kernel basis of the first n columns of a Bareiss echelon form.
+
+    The free variable takes the value of the last pivot to its left: that
+    pivot is the determinant of the square block the earlier pivots span, so
+    by Cramer's rule every pivot variable is an integer and each division in
+    the integer back-substitution is exact.  Pivots right of column n (those
+    of the identity block in [A | I]) are never reached.
+    """
+    pivot_cols = {col for _, col in pivots}
     basis = []
+    left = 0  # number of pivots in columns before ``free``
     for free in range(n):
         if free in pivot_cols:
+            left += 1
             continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row, col in reversed(pivots):
-            if col > free:
-                continue  # those pivot variables vanish in this vector
-            acc = Fraction(m[row][free])
-            for _, c2 in pivots:
-                if col < c2 <= free:
-                    acc += m[row][c2] * vec[c2]
-            vec[col] = -acc / m[row][col]
-        basis.append(_primitive(vec))
+        vec = [0] * n
+        vec[free] = m[pivots[left - 1][0]][pivots[left - 1][1]] if left else 1
+        for k in range(left - 1, -1, -1):
+            row, col = pivots[k]
+            r = m[row]
+            acc = r[free] * vec[free]
+            for _, c2 in pivots[k + 1:left]:
+                acc += r[c2] * vec[c2]
+            vec[col] = -acc // r[col]
+        # primitive, first nonzero entry positive
+        g = gcd(*vec) if next(x for x in vec if x) > 0 else -gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
 
 
-def _primitive(vec: list[Fraction]) -> list[int]:
-    from math import gcd, lcm
-
-    denom = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
-
-
 def inverse(a) -> list[list[Fraction]]:
-    """Exact inverse of a square integer (or rational) matrix.
+    """Exact inverse of a square integer or rational matrix; a test reference.
 
-    Raises :class:`SingularMatrixError` carrying the nullity when singular.
+    A singular matrix raises :class:`SingularMatrixError` carrying its
+    kernel basis.
     """
     n = len(a)
     m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
@@ -165,7 +165,10 @@ def inverse(a) -> list[list[Fraction]]:
                 p = r
                 break
         if p is None:
-            raise SingularMatrixError(nullity(a))
+            # the kernel of a rational matrix is that of an integer multiple
+            scale = lcm(*(Fraction(x).denominator for row in a for x in row))
+            raise SingularMatrixError(
+                kernel_basis([[int(x * scale) for x in row] for row in a]))
         if p != c:
             m[c], m[p] = m[p], m[c]
         pv = m[c][c]
@@ -235,13 +238,21 @@ def char_poly(a) -> "IntPolynomial":
 
 
 def adjugate(a) -> list[list[int]]:
-    """Transpose of the cofactor matrix; satisfies A adj(A) = det(A) I."""
+    """Transpose of the cofactor matrix; satisfies A adj(A) = det(A) I.
+
+    The tests' reference, also for a singular A; production calls
+    :func:`scaled_inverse`."""
     return char_poly_and_adjugate(a)[1]
 
 
 # ---------------------------------------------------------------------------
-# scaled inverse by Gauss-Jordan modulo one prime, checked in the integers
+# scaled inverse: Gauss-Jordan modulo one prime, else one Bareiss echelon
 # ---------------------------------------------------------------------------
+
+# matrix order from which the modular route is tried first.  Below it the
+# Bareiss echelon of [A | I] is faster (measured on orders 5..72), so the
+# census screens (n <= 12) and their bordered matrices stay exact.
+MODULAR_MIN_ORDER = 16
 
 MODULUS = (1 << 31) - 1
 # largest absolute row sum admitted to numpy: with |X| < MODULUS / 2 every
@@ -249,18 +260,49 @@ MODULUS = (1 << 31) - 1
 _MAX_ROW_SUM = 1 << 31
 
 
-def scaled_inverse(a) -> "tuple[int, np.ndarray] | None":
-    """(d, X) with A X = d I exactly and d != 0, or None.
+def scaled_inverse(a) -> tuple[int, list[list[int]]]:
+    """(d, X) with A X = d I exactly and d != 0, for a nonsingular A.
+
+    From order :data:`MODULAR_MIN_ORDER` on, Gauss-Jordan modulo one prime
+    is tried first (:func:`_modular_inverse`); its X has the zero pattern and
+    the submatrix ranks of adj(A), and equals it whenever det(A) and every
+    cofactor lie in (-p/2, p/2).  Below that order, or when the modular
+    result fails its check, one Bareiss echelon of [A | I] = [U | R]
+    decides: at full rank, integer back-substitution of U X = d R with
+    d = det(A) gives X = adj(A), every division exact.  A singular A raises
+    :class:`SingularMatrixError` with the kernel basis read from the left
+    block, which is the echelon of A itself.
+    """
+    n = len(a)
+    if n >= MODULAR_MIN_ORDER:
+        found = _modular_inverse(a)
+        if found is not None:
+            return found[0], found[1].tolist()
+    m, pivots, sign = _echelon([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(a)])
+    if n and pivots[n - 1][1] >= n:
+        raise SingularMatrixError(_kernel(m, pivots, n))
+    d = sign * m[n - 1][n - 1] if n else 1
+    x = [None] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        acc = [d * y for y in row[n:]]
+        for j in range(k + 1, n):
+            if row[j]:
+                acc = [s - row[j] * t for s, t in zip(acc, x[j])]
+        x[k] = [s // row[k] for s in acc]
+    return d, x
+
+
+def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
+    """(d, X) with A X = d I exactly and d != 0, X an int64 array, or None.
 
     Gauss-Jordan on [A | I] modulo p = :data:`MODULUS` gives det(A) and
-    adj(A) modulo p; both are lifted to (-p/2, p/2) as ``d`` and the int64
-    array ``X``.  The pair is returned only when the integer product A X
-    equals d I, so X is exactly d A^-1: it has the zero pattern and the
-    submatrix ranks of adj(A), and it equals adj(A) whenever det(A) and
-    every cofactor lie in (-p/2, p/2).  None means that p divides det(A)
-    (A singular included) or that the lifted residues are not d A^-1; the
-    caller then decides exactly.  A matrix with a row whose absolute sum
-    exceeds 2**31 is refused before anything reaches numpy.
+    adj(A) modulo p, lifted to (-p/2, p/2); the pair is returned only when
+    the integer product A X equals d I.  None means that p divides det(A)
+    (A singular included) or that the lifted residues are not d A^-1.  A
+    matrix with a row whose absolute sum exceeds 2**31 is refused before
+    anything reaches numpy.
     """
     p = MODULUS
     n = len(a)

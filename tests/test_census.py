@@ -6,10 +6,12 @@ import io
 import pytest
 
 from condgraph import linalg
-from condgraph.census import (CensusStore, census_record, enumerate_chemical,
-                              enumerate_connected, ingest_graph6, run_census,
-                              run_census_persistent, verify_family_coverage)
-from condgraph.conduction import conduction_graph
+from condgraph.census import (CensusStore, census_record, census_source,
+                              enumerate_chemical, enumerate_connected,
+                              ingest_graph6, run_census, run_census_persistent,
+                              verify_family_coverage)
+from condgraph.classify import classification_report
+from condgraph.conduction import conduction_graph, graph_nullity
 from condgraph.fixtures import fixture
 from condgraph.graphs import Graph, from_graph6, to_graph6
 from condgraph.isomorphism import canonical_form
@@ -146,16 +148,51 @@ def _count_eliminations(monkeypatch) -> dict:
 
 
 def test_record_all_eliminates_as_conduction_graph_does(monkeypatch):
-    # a recorded graph is classified once: no screen before its record
+    # a recorded graph is classified once: no screen before its record.  One
+    # echelon of [A | I] per graph, and one more per singular graph whose
+    # bordered matrix is below the modular crossover (all of them at n = 10)
     graphs = list(enumerate_chemical(10))
+    bordered = [g.n + graph_nullity(g) for g in graphs if graph_nullity(g)]
+    assert len(bordered) == 816
+    assert max(bordered) < linalg.MODULAR_MIN_ORDER
     counts = _count_eliminations(monkeypatch)
     for g in graphs:
         conduction_graph(g)
     alone = dict(counts)
-    assert alone["_echelon"] == len(graphs) == 1733
+    assert alone == {"_echelon": 1733 + 816, "char_poly_and_adjugate": 0}
     counts.update(dict.fromkeys(counts, 0))
     run_census(graphs, record_all=True)
     assert counts == alone
+
+
+def test_production_never_runs_faddeev_leverrier(monkeypatch, connected_upto_7):
+    # adjugates come from linalg.scaled_inverse alone; the characteristic
+    # polynomial recurrence serves transmission and the tests
+    classes = [connected_upto_7[n] for n in range(1, 8)]
+    classes.append(list(enumerate_chemical(10)))
+    counts = _count_eliminations(monkeypatch)
+    for graphs in classes:
+        for g in graphs:
+            conduction_graph(g)
+            classification_report(g)
+        run_census(graphs)
+        run_census(graphs, record_all=True)
+    assert counts["_echelon"] > 0 and counts["char_poly_and_adjugate"] == 0
+
+
+def test_census_source_checks_its_arguments(tmp_path):
+    src = tmp_path / "graphs.g6"
+    src.write_text("Ch\nDQw\n")
+    assert [g.n for g in census_source("connected", None, src)] == [4, 5]
+    assert len(list(census_source("chemical", 6, None))) == 29
+    for args in (("connected", 4, src), ("connected", None, None),
+                 ("cubic", 4, None)):
+        with pytest.raises(ValueError):
+            census_source(*args)
+        with pytest.raises(ValueError):
+            run_census_persistent(*args[:2], tmp_path / "store",
+                                  source_path=args[2])
+    assert not (tmp_path / "store").exists()
 
 
 def test_persistent_census_and_resume(tmp_path):

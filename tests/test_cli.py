@@ -72,6 +72,9 @@ def test_census_subcommand(capsys):
     assert code == 0 and out.strip() == "6,29,3,1"
     code, _, err = run(capsys, "census", "--mode", "connected")
     assert code == 2
+    # an order beyond the built-in enumerators is an input error too
+    code, out, err = run(capsys, "census", "--n", "11")
+    assert code == 2 and out == "" and "1..10" in err
 
 
 def test_census_ingest_and_persistent(capsys, tmp_path):
@@ -123,6 +126,28 @@ def test_census_persistent_ingest(capsys, tmp_path):
     assert sorted(p.name for p in outdir.iterdir()) == [
         "census_ingest.csv", "manifest_ingest.txt", "positives_ingest.g6"]
     assert len((outdir / "positives_ingest.g6").read_text().splitlines()) == 1
+
+
+def _order_and_file(capsys, tmp_path, *extra):
+    # the file's graphs have orders of their own (4 and 5 here), so --n
+    # would name a store for one order and fill it with others
+    src = tmp_path / "graphs.g6"
+    src.write_text("Ch\nDQw\n")
+    code, out, err = run(capsys, "census", "--ingest", str(src), "--n", "4",
+                         *extra)
+    assert code == 2 and out == ""
+    assert "--n" in err and "--ingest" in err
+
+
+def test_census_refuses_an_order_with_an_ingested_file(capsys, tmp_path):
+    _order_and_file(capsys, tmp_path)
+
+
+def test_census_persistent_refuses_an_order_with_an_ingested_file(capsys,
+                                                                   tmp_path):
+    outdir = tmp_path / "store"
+    _order_and_file(capsys, tmp_path, "--out", str(outdir), "--shards", "1")
+    assert not outdir.exists()
 
 
 def test_family_subcommand(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from condgraph import conduction, linalg
+from condgraph import linalg
 from condgraph.census import enumerate_connected
 from condgraph.conduction import (BorderedAdjugate, ConductionGraph, DeviceVerdict,
                                   Rule, _conduction_by_rules, _sub_nullity,
@@ -167,11 +167,16 @@ def test_conduction_graph_preconditions():
 # the bordered adjugate
 # ---------------------------------------------------------------------------
 
+def _analysis(g):
+    a = adjacency_matrix(g)
+    return BorderedAdjugate(a, kernel_basis(a))
+
+
 def test_bordered_adjugate_deletion_nullities(connected_upto_7):
     # every eta(G-S), |S| <= 2, against direct elimination of G-S
     for n in range(1, 8):
         for g in connected_upto_7[n]:
-            analysis = BorderedAdjugate(adjacency_matrix(g))
+            analysis = _analysis(g)
             assert analysis.nullity() == graph_nullity(g)
             for u in range(n):
                 assert analysis.nullity(u) == _sub_nullity(g, 1 << u), (g, u)
@@ -198,7 +203,7 @@ def test_bordered_adjugate_is_scaled_pseudo_inverse():
                   for l in range(len(z))) for j in range(n)] for i in range(n)]
         shifted = inverse([[a[i][j] + p[i][j] for j in range(n)] for i in range(n)])
         pinv = [[shifted[i][j] - p[i][j] for j in range(n)] for i in range(n)]
-        adj = BorderedAdjugate(a).adj
+        adj = BorderedAdjugate(a, z).adj
         assert len(adj) == n + len(z)
         assert [[Fraction(adj[i][j], det_m) for j in range(n)] for i in range(n)] \
             == pinv, g
@@ -229,10 +234,12 @@ def test_bordered_route_matches_rule_walk():
 
 
 def test_conduction_graph_eliminations_per_graph(monkeypatch):
-    # one echelon for the kernel basis, which also decides singularity; the
-    # adjugate needs no elimination.  The walk over direct deletions
-    # eliminates once per vertex and per open pair (821 for C40).  A large
-    # nonsingular graph passes the modular check and eliminates nothing.
+    # one echelon of [A | I] decides singularity and gives the kernel basis;
+    # the bordered matrix of C40 and P41 passes the modular check.  The walk
+    # over direct deletions eliminates once per vertex and per open pair (821
+    # for C40).  A nonsingular graph below the crossover gets its adjugate
+    # from one echelon; a large one passes the modular check and eliminates
+    # nothing.
     calls = []
     real = linalg._echelon
 
@@ -244,7 +251,10 @@ def test_conduction_graph_eliminations_per_graph(monkeypatch):
     for g in (cycle_graph(40), path_graph(41)):
         calls.clear()
         conduction_graph(g)
-        assert len(calls) <= 2, (g, len(calls))
+        assert len(calls) <= 1, (g, len(calls))
+    calls.clear()
+    conduction_graph(cycle_graph(6))
+    assert calls == [6]
     calls.clear()
     conduction_graph(min_deg2_graph(16))
     assert calls == []
@@ -255,31 +265,31 @@ def test_conduction_graph_eliminations_per_graph(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _record_scaled_inverse(monkeypatch):
-    """Route every order through linalg.scaled_inverse and log its results."""
+    """Try the modular half of linalg.scaled_inverse at every order and log
+    whether each attempt passed its check."""
     results = []
-    real = linalg.scaled_inverse
+    real = linalg._modular_inverse
 
     def recorded(a):
         out = real(a)
         results.append(out is not None)
         return out
 
-    monkeypatch.setattr(conduction, "MODULAR_MIN_ORDER", 1)
-    monkeypatch.setattr(linalg, "scaled_inverse", recorded)
+    monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
+    monkeypatch.setattr(linalg, "_modular_inverse", recorded)
     return results
 
 
 def test_modular_routes_stay_exact_when_the_check_fails(monkeypatch,
                                                         connected_upto_7):
     # modulo 7 many determinants vanish and many cofactors exceed p/2, so
-    # both checked modular results and the exact fallback (for a nonsingular
-    # graph, the empty kernel of BorderedAdjugate) decide real graphs; every
-    # answer must equal the exact route
+    # both checked modular results and the exact fallback (one echelon of
+    # [A | I]) decide real graphs; every answer must equal the exact route
     cases = [g for n in range(1, 8) for g in connected_upto_7[n]]
     cases += [cycle_graph(12), path_graph(13), min_deg2_graph(4),
               fixture("fig6reg24")]
     expected = []
-    monkeypatch.setattr(conduction, "MODULAR_MIN_ORDER", 65)  # exact only
+    monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 65)  # exact only
     for g in cases:
         try:
             pattern = inverse_conduction_pattern(g)
@@ -317,7 +327,7 @@ def test_bordered_adjugate_stays_exact_when_the_check_fails(monkeypatch):
         for i in range(3, n):
             a[i][i] = 1
         results.clear()
-        analysis = BorderedAdjugate(a)
+        analysis = BorderedAdjugate(a, kernel_basis(a))
         assert results == [False]
         bordered = [row + [int(i == 0)] for i, row in enumerate(a)]
         bordered.append([1] + [0] * n)
@@ -341,7 +351,7 @@ def test_bordered_adjugate_from_a_scaled_inverse(monkeypatch, connected_upto_7):
         for g in connected_upto_7[n]:
             if not graph_nullity(g):
                 continue
-            analysis = BorderedAdjugate(adjacency_matrix(g))
+            analysis = _analysis(g)
             scaled = BorderedAdjugate.__new__(BorderedAdjugate)
             scaled.n = n
             scaled.adj = [[-3 * x for x in row] for row in analysis.adj]

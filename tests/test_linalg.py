@@ -1,6 +1,7 @@
 """Exact linear algebra against brute-force and floating oracles."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -93,6 +94,49 @@ def test_kernel_vectors_satisfy_ax_zero(connected_upto_7):
                            for i in range(g.n))
 
 
+def _fraction_kernel_basis(a):
+    """Kernel basis by back-substitution in Fractions from the Bareiss
+    echelon, then scaled to primitive integer vectors with the first nonzero
+    entry positive: the reference for the integer back-substitution."""
+    n = len(a)
+    m, pivots, _ = linalg._echelon(a)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for row, col in reversed(pivots):
+            if col > free:
+                continue
+            acc = Fraction(m[row][free])
+            for _, c2 in pivots:
+                if col < c2 <= free:
+                    acc += m[row][c2] * vec[c2]
+            vec[col] = -acc / m[row][col]
+        denom = lcm(*(x.denominator for x in vec))
+        ints = [int(x * denom) for x in vec]
+        g = gcd(*ints)
+        lead = next(x for x in ints if x)
+        basis.append([x // (g if lead > 0 else -g) for x in ints])
+    return basis
+
+
+def test_kernel_basis_matches_fraction_back_substitution():
+    graphs = [g for n in range(1, 9) for g in enumerate_connected(n)]
+    graphs += list(enumerate_chemical(10)) + [cycle_graph(40), path_graph(41)]
+    for g in graphs:
+        a = A(g)
+        assert kernel_basis(a) == _fraction_kernel_basis(a), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_matrices)
+def test_kernel_basis_matches_fraction_back_substitution_on_matrices(m):
+    assert kernel_basis(m) == _fraction_kernel_basis(m)
+
+
 # ---------------------------------------------------------------------------
 # inverse / adjugate
 # ---------------------------------------------------------------------------
@@ -109,6 +153,10 @@ def test_inverse_examples():
     with pytest.raises(SingularMatrixError) as err:
         inverse(A(cycle_graph(4)))
     assert err.value.nullity == 2
+    assert err.value.kernel == kernel_basis(A(cycle_graph(4)))
+    with pytest.raises(SingularMatrixError) as err:
+        inverse([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+    assert err.value.kernel == [[2, -3]]
 
 
 def test_inverse_times_matrix_is_identity(connected_upto_7):
@@ -150,38 +198,73 @@ def test_adjugate_identity_and_inverse_relation(connected_upto_7, rng):
 
 
 # ---------------------------------------------------------------------------
-# scaled inverse modulo one prime
+# scaled inverse: the modular half and the exact half
 # ---------------------------------------------------------------------------
 
-def _assert_is_adjugate(a):
-    d, x = scaled_inverse(a)
-    assert x.tolist() == adjugate(a)
-    assert d == det(a)
+def _both_halves(monkeypatch):
+    """Send every order to one half of scaled_inverse, then to the other,
+    and log the modular attempts: a crossover of 65 keeps orders <= 64
+    exact, 1 tries the prime first."""
+    attempts = []
+    real = linalg._modular_inverse
+
+    def recorded(a):
+        out = real(a)
+        attempts.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_modular_inverse", recorded)
+    for cut in (65, 1):
+        monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", cut)
+        yield cut, attempts
 
 
-def test_scaled_inverse_is_the_adjugate_on_connected_graphs(connected_upto_7):
-    # every nonsingular connected graph with n <= 8; production asks for it
-    # only from conduction.MODULAR_MIN_ORDER on
-    checked = 0
+def _assert_is_adjugate(a, half):
+    cut, attempts = half
+    attempts.clear()
+    assert scaled_inverse(a) == (det(a), adjugate(a))
+    # the half under test decided: no modular attempt below the crossover,
+    # and one that passed its check above it
+    assert attempts == ([True] if len(a) >= cut else [])
+
+
+def _assert_singular(a):
+    with pytest.raises(SingularMatrixError) as err:
+        scaled_inverse(a)
+    assert err.value.nullity == nullity(a)
+    assert err.value.kernel == kernel_basis(a)
+
+
+def test_scaled_inverse_is_the_adjugate_on_connected_graphs(connected_upto_7,
+                                                            monkeypatch):
+    # every connected graph with n <= 8: the adjugate when nonsingular, the
+    # kernel basis in the error otherwise
     graphs = [g for n in range(1, 8) for g in connected_upto_7[n]]
-    for g in graphs + list(enumerate_connected(8)):
-        a = A(g)
-        if rank(a) < g.n:
-            assert scaled_inverse(a) is None
-            continue
-        _assert_is_adjugate(a)
-        checked += 1
-    assert checked == 0 + 1 + 1 + 3 + 8 + 52 + 342 + 5724  # n = 1..8
-
-
-def test_scaled_inverse_is_the_adjugate_on_chemical_graphs():
-    checked = 0
-    for g in enumerate_chemical(10):
-        a = A(g)
-        if rank(a) == g.n:
-            _assert_is_adjugate(a)
+    graphs += list(enumerate_connected(8))
+    for half in _both_halves(monkeypatch):
+        checked = 0
+        for g in graphs:
+            a = A(g)
+            if rank(a) < g.n:
+                _assert_singular(a)
+                continue
+            _assert_is_adjugate(a, half)
             checked += 1
-    assert checked == 917
+        assert checked == 0 + 1 + 1 + 3 + 8 + 52 + 342 + 5724  # n = 1..8
+
+
+def test_scaled_inverse_is_the_adjugate_on_chemical_graphs(monkeypatch):
+    # the 917 nonsingular chemical graphs with n = 10, and the bordered
+    # matrix that conduction_graph inverts for each of the 816 singular ones
+    graphs = list(enumerate_chemical(10))
+    for half in _both_halves(monkeypatch):
+        for g in graphs:
+            a = A(g)
+            if rank(a) < g.n:
+                _assert_singular(a)
+                a = _bordered(a)
+            _assert_is_adjugate(a, half)
+    assert len(graphs) == 1733
 
 
 def _bordered(a):
@@ -190,30 +273,58 @@ def _bordered(a):
     return m + [vec + [0] * len(z) for vec in z]
 
 
-def test_scaled_inverse_is_the_adjugate_on_large_graphs():
+def test_scaled_inverse_is_the_adjugate_on_large_graphs(monkeypatch):
     # the benchmark's large inputs (C40 and P41 through the bordered matrix
-    # that production inverts) and the minimum-degree-2 family up to n = 64
-    for g in (cycle_graph(40), path_graph(41)):
-        assert scaled_inverse(A(g)) is None
-        _assert_is_adjugate(_bordered(A(g)))
-    _assert_is_adjugate(A(fixture("fig6reg24")))
-    for k in range(2, 17):
-        _assert_is_adjugate(A(min_deg2_graph(k)))
+    # that production inverts) and the minimum-degree-2 family
+    for half in _both_halves(monkeypatch):
+        for g in (cycle_graph(40), path_graph(41)):
+            _assert_singular(A(g))
+            _assert_is_adjugate(_bordered(A(g)), half)
+        _assert_is_adjugate(A(fixture("fig6reg24")), half)
+        for k in range(2, 17):
+            _assert_is_adjugate(A(min_deg2_graph(k)), half)
 
 
-def test_scaled_inverse_refuses_what_the_prime_cannot_decide():
+@settings(max_examples=100, deadline=None)
+@given(small_int_matrices)
+def test_scaled_inverse_matches_det_adjugate_and_kernel(m):
+    # the exact half on small integer matrices, singular or not
+    if rank(m) < len(m):
+        _assert_singular(m)
+    else:
+        assert scaled_inverse(m) == (det(m), adjugate(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_int_matrices)
+def test_modular_inverse_is_the_adjugate_on_small_matrices(m):
+    # the modular half: every cofactor of these matrices is far below p/2
+    found = linalg._modular_inverse(m)
+    if rank(m) < len(m):
+        assert found is None
+    else:
+        d, x = found
+        assert (d, x.tolist()) == (det(m), adjugate(m))
+
+
+def test_scaled_inverse_refuses_what_the_prime_cannot_decide(monkeypatch):
+    # the modular half refuses; the public call, with every order sent to
+    # the modular half first, still returns the exact adjugate
+    monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
+    modular = linalg._modular_inverse
     # det = p: singular modulo p
-    a = [[MODULUS, 0], [0, 1]]
-    assert det(a) == MODULUS and scaled_inverse(a) is None
-    a = [[1 << 16, 1], [1, 1 << 15]]
-    assert det(a) == MODULUS and scaled_inverse(a) is None
+    refused = [[[MODULUS, 0], [0, 1]], [[1 << 16, 1], [1, 1 << 15]]]
+    assert all(det(a) == MODULUS for a in refused)
     # det = 3 * 2**30 lifts to a wrong residue, and the cofactor 3 * 2**30
     # exceeds p/2; the integer check refuses the lifted pair
     a = [[1 << 30, 0, 0], [0, 3, 0], [0, 0, 1]]
     assert max(max(map(abs, row)) for row in adjugate(a)) > MODULUS // 2
-    assert scaled_inverse(a) is None
+    refused.append(a)
+    for a in refused:
+        assert modular(a) is None
+        assert scaled_inverse(a) == (det(a), adjugate(a))
     # a scaled result that does pass is exactly d A^-1, though not adj(A)
-    d, x = scaled_inverse([[2, 0], [0, 2]])
+    d, x = modular([[2, 0], [0, 2]])
     assert mat_mul([[2, 0], [0, 2]], x.tolist()) == [[d, 0], [0, d]]
 
 
@@ -223,12 +334,17 @@ def test_scaled_inverse_keeps_overflowing_input_from_numpy(monkeypatch):
             raise AssertionError(f"numpy.{name} reached")
 
     monkeypatch.setattr(linalg, "np", NoNumpy())
-    assert scaled_inverse([[1 << 63]]) is None
-    assert scaled_inverse([[-(1 << 64), 1], [1, 0]]) is None
+    monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
+    modular = linalg._modular_inverse
     # entries that fit int64, row sums that would not stay exact
     row = [1 << 29] * 5
-    assert scaled_inverse([row[:] for _ in range(5)]) is None
-    assert scaled_inverse([]) is None
+    for a in ([[1 << 63]], [[-(1 << 64), 1], [1, 0]]):
+        assert modular(a) is None
+        assert scaled_inverse(a) == (det(a), adjugate(a))
+    assert modular([row[:] for _ in range(5)]) is None
+    _assert_singular([row[:] for _ in range(5)])
+    assert modular([]) is None
+    assert scaled_inverse([]) == (1, [])
 
 
 # ---------------------------------------------------------------------------
