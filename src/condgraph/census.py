@@ -22,11 +22,12 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from pathlib import Path
 
 from .classify import check_theorem, classification_report, conduction_isomorphism
-from .graphs import (Graph, Graph6Error, from_graph6, is_bipartite, is_chemical,
-                     is_connected, to_graph6)
+from .graphs import (Graph, from_graph6, is_chemical, is_connected, reach,
+                     read_graph6_lines, to_graph6)
 from .isomorphism import canonical_data, canonical_form
 
 MAX_BUILTIN_CONNECTED = 10
@@ -53,20 +54,7 @@ def _connected_without(rows, n, v):
     if n <= 2:
         return True
     alive = ((1 << n) - 1) & ~(1 << v)
-    start = (alive & -alive).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            u = (m & -m).bit_length() - 1
-            nxt |= rows[u]
-            m &= m - 1
-        nxt &= alive
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == alive
+    return reach(rows, alive & -alive, alive) == alive
 
 
 def _subset_orbit_reps(masks, generators, n):
@@ -135,30 +123,22 @@ def _accepts(rows, n, w):
     return data.orbits[w] == data.orbits[delta], data
 
 
-def _grow(rows, n, n_target, data, degree_cap, regular, sizes_cap):
-    """Depth-first canonical-path generation; yields graphs at n_target."""
+def _grow(rows, n, n_target, data, degree_cap, regular):
+    """Depth-first canonical-path generation; yields graphs at n_target.
+
+    The attachment sets are the nonempty sets of at most ``degree_cap``
+    vertices of degree below ``degree_cap`` (any sets without a cap), tried
+    in increasing mask order.
+    """
     if n == n_target:
         yield Graph(n, rows)
         return
     if degree_cap is None:
-        eligible = list(range(n))
+        bits = [1 << v for v in range(n)]
     else:
-        eligible = [v for v in range(n) if rows[v].bit_count() < degree_cap]
-    masks = []
-    limit = sizes_cap or n
-    # enumerate subsets of the eligible set, skipping sizes > limit
-    k = len(eligible)
-    for sub in range(1, 1 << k):
-        if sub.bit_count() > limit:
-            continue
-        mask = 0
-        m = sub
-        while m:
-            i = (m & -m).bit_length() - 1
-            mask |= 1 << eligible[i]
-            m &= m - 1
-        masks.append(mask)
-    masks.sort()
+        bits = [1 << v for v in range(n) if rows[v].bit_count() < degree_cap]
+    masks = sorted(map(sum, chain.from_iterable(
+        combinations(bits, size) for size in range(1, (degree_cap or n) + 1))))
     if data is None:
         data = canonical_data(Graph(n, rows))
     for mask in _subset_orbit_reps(masks, data.generators, n):
@@ -183,7 +163,7 @@ def _grow(rows, n, n_target, data, degree_cap, regular, sizes_cap):
             yield Graph(n + 1, child)
         else:
             yield from _grow(child, n + 1, n_target, child_data,
-                             degree_cap, regular, sizes_cap)
+                             degree_cap, regular)
 
 
 def enumerate_connected(n: int):
@@ -195,7 +175,7 @@ def enumerate_connected(n: int):
     if not 1 <= n <= MAX_BUILTIN_CONNECTED:
         raise ValueError(f"built-in generation supports 1..{MAX_BUILTIN_CONNECTED}, "
                          f"got {n}")
-    yield from _grow([0], 1, n, None, None, None, None)
+    yield from _grow([0], 1, n, None, None, None)
 
 
 def enumerate_chemical(n: int, regular: int | None = None):
@@ -212,7 +192,7 @@ def enumerate_chemical(n: int, regular: int | None = None):
         raise ValueError("only regular=3 is supported")
     if regular == 3 and (n < 4 or n % 2):
         return
-    yield from _grow([0], 1, n, None, 3, regular, 3)
+    yield from _grow([0], 1, n, None, 3, regular)
 
 
 def ingest_graph6(path, on_error=None, dedupe: bool = False):
@@ -224,16 +204,7 @@ def ingest_graph6(path, on_error=None, dedupe: bool = False):
     """
     seen = set() if dedupe else None
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                g = from_graph6(line)
-            except Graph6Error as exc:
-                if on_error is not None:
-                    on_error(lineno, str(exc))
-                continue
+        for _, g in read_graph6_lines(fh, on_error):
             if seen is not None:
                 form = canonical_form(g)
                 if form in seen:
@@ -244,21 +215,39 @@ def ingest_graph6(path, on_error=None, dedupe: bool = False):
 
 def census_source(mode: str, n: int | None, source_path, on_error=None):
     """Every connected or chemical graph (``mode``) on ``n`` vertices, or
-    the graphs of the graph6 file ``source_path`` (see :func:`ingest_graph6`).
+    the connected graphs of the graph6 file ``source_path``.
 
-    A bad mode, an order together with a file (whose graphs have orders of
-    their own) or neither raise ValueError before any graph is produced.
+    A file's unparsable lines and disconnected graphs are reported to
+    ``on_error`` (line number, message) and skipped.  A bad mode, an order
+    together with a file (whose graphs have orders of their own) or neither
+    raise ValueError before any graph is produced.
     """
     if mode not in ("connected", "chemical"):
         raise ValueError("mode must be 'connected' or 'chemical'")
     if source_path is not None:
         if n is not None:
             raise ValueError("census takes --n or --ingest, not both")
-        return ingest_graph6(source_path, on_error=on_error)
+        return _ingest_connected(source_path, on_error)
     if n is None:
         raise ValueError("census needs --n or --ingest")
     return enumerate_connected(n) if mode == "connected" \
         else enumerate_chemical(n)
+
+
+def connected_graph6(lines, on_error):
+    """The connected graphs of graph6 ``lines``; unparsable lines and
+    disconnected graphs are reported to ``on_error`` (line number, message),
+    when given, and skipped."""
+    for lineno, g in read_graph6_lines(lines, on_error):
+        if is_connected(g):
+            yield g
+        elif on_error is not None:
+            on_error(lineno, "input graph is disconnected")
+
+
+def _ingest_connected(path, on_error):
+    with open(path, "rb") as fh:
+        yield from connected_graph6(fh, on_error)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +307,7 @@ def census_record(g: Graph) -> CensusRecord:
         graph6=to_graph6(g.relabel(data.labeling)),
         nullity=report.nullity,
         cond_iso=report.is_conduction_isomorphic,
-        bipartite=is_bipartite(g),
+        bipartite=report.code.bipartite_interpretation,
         chemical=is_chemical(g),
         nut=report.is_nut,
         ipso_omni_ins=report.is_ipso_omni_insulator,
@@ -409,9 +398,11 @@ class CensusStore:
         was written with other settings (or before settings were stored):
         shards of another split would repeat or miss graphs.
 
-        Returns :meth:`completed_summaries`.  Rows that a stopped run
-        appended after its last manifest line are cut from the CSV and the
-        sidecar, because the rerun writes them again.
+        Returns :meth:`completed_summaries`.  Each completed shard's CSV rows
+        must match the checksum its manifest line stores, else ValueError
+        names the shard and the file.  Rows that a stopped run appended after
+        its last manifest line are cut from the CSV and the sidecar, because
+        the rerun writes them again.
         """
         lines = self.manifest_path.read_text().splitlines() \
             if self.manifest_path.exists() else []
@@ -421,13 +412,30 @@ class CensusStore:
             stored = lines[0] if lines[0].startswith("mode=") else "no settings"
             raise ValueError(f"census store {self.manifest_path} holds {stored}; "
                              f"this run asks for {settings}")
+        rows = self._check_rows(line for line in lines[1:] if line.strip())
         done = self.completed_summaries()
-        rows = sum(int(line.split(",")[1]) for line in lines[1:] if line.strip())
         positives = sum(row[1] for part in done.values()
                         for row in part.counts.values())
         _keep_lines(self.csv_path, 1 + rows)
         _keep_lines(self.sidecar_path, positives)
         return done
+
+    def _check_rows(self, shard_lines) -> int:
+        """Hash each completed shard's segment of the CSV against the
+        checksum of its manifest line; returns the rows they hold."""
+        rows = 0
+        with (open(self.csv_path, "rb") if self.csv_path.exists()
+              else io.BytesIO()) as fh:
+            fh.readline()  # header
+            for line in shard_lines:
+                shard, count, checksum = line.split(",")[:3]
+                text = b"".join(fh.readline() for _ in range(int(count)))
+                if hashlib.sha256(text).hexdigest()[:16] != checksum:
+                    raise ValueError(f"census store {self.csv_path}: the rows of "
+                                     f"shard {shard} do not match their checksum "
+                                     f"in {self.manifest_path}")
+                rows += int(count)
+        return rows
 
     def completed_summaries(self) -> dict[int, CensusSummary]:
         """Each completed shard's id mapped to the summary it stored."""
@@ -487,12 +495,15 @@ def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
     earlier run completed contribute the totals stored in the manifest.
     The graphs come from :func:`census_source` (``n`` or ``source_path``),
     which checks its arguments before the store is touched.  Every shard
-    reads the whole source, so its unparsable lines are reported to
-    ``on_error`` (line number, message) once, from the first shard run.
-    A store made with another mode, order, shard count or ``record_all``
-    raises ValueError.
+    reads the whole source, so its unparsable lines and disconnected graphs
+    are reported to ``on_error`` (line number, message) once, from the first
+    shard run.  A shard count below 1, a store made with another mode,
+    order, shard count or ``record_all``, or a completed shard whose CSV rows
+    fail their checksum raise ValueError.
     """
     census_source(mode, n, source_path)  # checks the arguments only
+    if shards < 1:
+        raise ValueError(f"census needs at least one shard, got {shards}")
     store = CensusStore(outdir, n)
     done = store.begin(f"mode={mode},n={'ingest' if n is None else n},"
                        f"shards={shards},record_all={int(record_all)}")

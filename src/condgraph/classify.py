@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from . import linalg
 from .conduction import (ConductionGraph, _sub_nullity, conduction_graph,
                          graph_nullity, inverse_conduction_pattern)
-from .graphs import (Graph, adjacency_matrix, bfs_distances, connected_components,
-                     is_bipartite, is_connected)
+from .graphs import Graph, adjacency_matrix, bfs_distances, is_bipartite, is_connected
 # TheoremCheckError and check_theorem live in isomorphism, which verifies
 # witnesses with them; they stay importable from here
 from .isomorphism import TheoremCheckError, check_theorem, find_isomorphism  # noqa: F401
@@ -169,7 +168,7 @@ def _isomorphism_onto(g: Graph, rows, loops: int) -> list[int] | None:
     if sorted(r.bit_count() for r in rows) != sorted(r.bit_count() for r in g.rows):
         return None
     cg = Graph(g.n, rows)
-    if len(connected_components(cg)) != 1:
+    if not is_connected(cg):
         return None
     return find_isomorphism(g, cg)
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 from . import census as census_mod
 from . import classify as classify_mod
 from . import families, fixtures, transmission
 from .conduction import conduction_graph
-from .graphs import (Graph6Error, connected_components, from_graph6,
-                     is_connected, to_graph6)
+from .graphs import Graph6Error, from_graph6, to_graph6
 from .isomorphism import find_isomorphism
 
 EXIT_OK = 0
@@ -27,25 +28,33 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
 
-def _read_graphs(path):
-    """Yield (lineno, Graph or Graph6Error) from a file or '-' for stdin."""
-    if path == "-":
-        lines = sys.stdin.buffer.read().splitlines()
-    else:
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield lineno, from_graph6(line)
-        except Graph6Error as exc:
-            yield lineno, exc
-
-
+@contextmanager
 def _out_stream(path):
-    return sys.stdout if path in (None, "-") else open(path, "w")
+    if path in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(path, "w") as out:
+            yield out
+
+
+def _each_input_graph(args, handle) -> int:
+    """Call ``handle(g, out)`` for each connected graph of the graph6 file
+    ``--in`` (``-`` for stdin), ``out`` being the ``--out`` stream.  Other
+    nonblank lines are reported as ``line N: ...`` and make the status 2.
+    """
+    status = EXIT_OK
+
+    def report(lineno, msg):
+        nonlocal status
+        print(f"line {lineno}: {msg}", file=sys.stderr)
+        status = EXIT_INPUT
+
+    path = getattr(args, "in")
+    with _out_stream(args.out) as out:
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        for g in census_mod.connected_graph6(data.splitlines(), report):
+            handle(g, out)
+    return status
 
 
 def _loops_text(g):
@@ -54,70 +63,43 @@ def _loops_text(g):
 
 
 def _cmd_conduct(args) -> int:
-    status = EXIT_OK
-    out = _out_stream(args.out)
-    try:
-        for lineno, item in _read_graphs(getattr(args, "in")):
-            if isinstance(item, Graph6Error):
-                print(f"line {lineno}: {item}", file=sys.stderr)
-                status = EXIT_INPUT
-                continue
-            g = item
-            if not is_connected(g):
-                print(f"line {lineno}: input graph is disconnected", file=sys.stderr)
-                status = EXIT_INPUT
-                continue
-            cg = conduction_graph(g)
-            simple = cg.graph.without_loops()
-            comps = len(connected_components(cg.graph))
-            print(f"G^C: {to_graph6(simple)};loops={_loops_text(cg.graph)} "
-                  f"components={comps}", file=out)
-            if args.show_verdicts:
-                for (u, v), verdict in sorted(cg.verdicts.items()):
-                    kind = "ipso" if u == v else "distinct"
-                    word = "conducts" if verdict.conducts else "insulates"
-                    print(f"  ({u},{v}) {kind}: {word} [{verdict.rule.name}]",
-                          file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return status
+    def show(g, out):
+        cg = conduction_graph(g)
+        simple = cg.graph.without_loops()
+        print(f"G^C: {to_graph6(simple)};loops={_loops_text(cg.graph)} "
+              f"components={cg.component_count()}", file=out)
+        if args.show_verdicts:
+            for (u, v), verdict in sorted(cg.verdicts.items()):
+                kind = "ipso" if u == v else "distinct"
+                word = "conducts" if verdict.conducts else "insulates"
+                print(f"  ({u},{v}) {kind}: {word} [{verdict.rule.name}]",
+                      file=out)
+
+    return _each_input_graph(args, show)
 
 
 def _cmd_classify(args) -> int:
-    status = EXIT_OK
-    out = _out_stream(args.out)
     header_done = False
-    try:
-        for lineno, item in _read_graphs(getattr(args, "in")):
-            if isinstance(item, Graph6Error):
-                print(f"line {lineno}: {item}", file=sys.stderr)
-                status = EXIT_INPUT
-                continue
-            g = item
-            if not is_connected(g):
-                print(f"line {lineno}: input graph is disconnected", file=sys.stderr)
-                status = EXIT_INPUT
-                continue
-            if args.format == "csv":
-                if not header_done:
-                    print(census_mod.CSV_HEADER, file=out)
-                    header_done = True
-                print(census_mod.census_record(g).csv_row(), file=out)
-            else:
-                rep = classify_mod.classification_report(g)
-                print(f"n={g.n} nullity={rep.nullity} "
-                      f"code={rep.code.three_letter} "
-                      f"two_letter={rep.code.two_letter} "
-                      f"cond_iso={rep.is_conduction_isomorphic} "
-                      f"nut={rep.is_nut} ucg={rep.is_ucg} "
-                      f"ipso_omni_insulator={rep.is_ipso_omni_insulator} "
-                      f"gc_components={rep.component_count} "
-                      f"gc_loops={rep.loop_count}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return status
+
+    def show(g, out):
+        nonlocal header_done
+        if args.format == "csv":
+            if not header_done:
+                print(census_mod.CSV_HEADER, file=out)
+                header_done = True
+            print(census_mod.census_record(g).csv_row(), file=out)
+        else:
+            rep = classify_mod.classification_report(g)
+            print(f"n={g.n} nullity={rep.nullity} "
+                  f"code={rep.code.three_letter} "
+                  f"two_letter={rep.code.two_letter} "
+                  f"cond_iso={rep.is_conduction_isomorphic} "
+                  f"nut={rep.is_nut} ucg={rep.is_ucg} "
+                  f"ipso_omni_insulator={rep.is_ipso_omni_insulator} "
+                  f"gc_components={rep.component_count} "
+                  f"gc_loops={rep.loop_count}", file=out)
+
+    return _each_input_graph(args, show)
 
 
 def _cmd_census(args) -> int:
@@ -133,8 +115,7 @@ def _cmd_census(args) -> int:
                 census_mod.census_source(
                     args.mode, args.n, args.ingest,
                     on_error=lambda *err: errors.append(err)),
-                record_all=args.all,
-                on_skip=lambda g, msg: print(f"skipped: {msg}", file=sys.stderr))
+                record_all=args.all)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
@@ -188,27 +169,18 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_transmit(args) -> int:
-    try:
+    try:  # a bad graph6 string is a ValueError too
         g = from_graph6(args.graph)
-    except Graph6Error as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    if not (0 <= args.left < g.n and 0 <= args.right < g.n):
-        print("contact vertices out of range", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        if not (0 <= args.left < g.n and 0 <= args.right < g.n):
+            raise ValueError("contact vertices out of range")
         dp = transmission.device_polynomials(g, args.left, args.right)
         curve = transmission.sweep(dp, args.beta_sq, args.e_min, args.e_max,
                                    args.steps)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         out.write(curve.to_csv())
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 

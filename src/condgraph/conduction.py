@@ -39,7 +39,7 @@ import enum
 from dataclasses import dataclass, field
 
 from . import linalg
-from .graphs import Graph, adjacency_matrix, is_connected
+from .graphs import Graph, adjacency_matrix, connected_components, is_connected
 from .linalg import IntPolynomial, SingularMatrixError
 
 
@@ -143,7 +143,6 @@ class ConductionGraph:
         return self.graph.loops.bit_count()
 
     def component_count(self) -> int:
-        from .graphs import connected_components
         return len(connected_components(self.graph))
 
 
@@ -172,22 +171,23 @@ def booleanise(m) -> list[list[int]]:
 # nullity helpers on vertex-deleted subgraphs
 # ---------------------------------------------------------------------------
 
+def _sub_matrix(g: Graph, dropped: int) -> list[list[int]]:
+    """Adjacency matrix of the simple graph g minus the vertices in ``dropped``."""
+    keep = [v for v in range(g.n) if not dropped >> v & 1]
+    return [[(g.rows[v] >> u) & 1 for u in keep] for v in keep]
+
+
 def _sub_nullity(g: Graph, dropped: int) -> int:
     """Nullity of the adjacency matrix of g minus the vertices in ``dropped``.
 
     The empty graph has nullity 0 (rank of a 0x0 matrix is 0).
     """
-    keep = [v for v in range(g.n) if not dropped >> v & 1]
-    if not keep:
-        return 0
-    m = [[(g.rows[v] >> u) & 1 for u in keep] for v in keep]
-    return len(keep) - linalg.rank(m)
+    m = _sub_matrix(g, dropped)
+    return len(m) - linalg.rank(m)
 
 
 def _sub_char_poly(g: Graph, dropped: int) -> IntPolynomial:
-    keep = [v for v in range(g.n) if not dropped >> v & 1]
-    m = [[(g.rows[v] >> u) & 1 for u in keep] for v in keep]
-    return linalg.char_poly(m)
+    return linalg.char_poly(_sub_matrix(g, dropped))
 
 
 def graph_nullity(g: Graph) -> int:

@@ -103,14 +103,8 @@ class Graph:
         return self.rows[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            m = self.rows[v] >> (v + 1) << (v + 1)
-            while m:
-                u = (m & -m).bit_length() - 1
-                out.append((v, u))
-                m &= m - 1
-        return out
+        return [(v, u) for v in range(self.n)
+                for u in bit_indices(self.rows[v] >> (v + 1) << (v + 1))]
 
     def loop_vertices(self) -> list[int]:
         return bit_indices(self.loops)
@@ -138,12 +132,9 @@ class Graph:
         rows = [0] * len(keep)
         loops = 0
         for i, v in enumerate(keep):
-            m = self.rows[v]
-            while m:
-                u = (m & -m).bit_length() - 1
+            for u in bit_indices(self.rows[v]):
                 if u in pos:
                     rows[i] |= 1 << pos[u]
-                m &= m - 1
             if self.loops >> v & 1:
                 loops |= 1 << i
         return Graph(len(keep), rows, loops)
@@ -153,12 +144,9 @@ class Graph:
         rows = [0] * self.n
         loops = 0
         for v in range(self.n):
-            m = self.rows[v]
             nv = perm[v]
-            while m:
-                u = (m & -m).bit_length() - 1
+            for u in bit_indices(self.rows[v]):
                 rows[nv] |= 1 << perm[u]
-                m &= m - 1
             if self.loops >> v & 1:
                 loops |= 1 << nv
         return Graph(self.n, rows, loops)
@@ -192,13 +180,10 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
     """Integer adjacency matrix: 1 per edge, 2 on the diagonal per loop."""
     a = [[0] * g.n for _ in range(g.n)]
     for v in range(g.n):
-        m = g.rows[v]
-        while m:
-            u = (m & -m).bit_length() - 1
+        for u in bit_indices(g.rows[v]):
             a[v][u] = 1
-            m &= m - 1
-        if g.loops >> v & 1:
-            a[v][v] = 2
+    for v in bit_indices(g.loops):
+        a[v][v] = 2
     return a
 
 
@@ -226,37 +211,37 @@ def graph_from_adjacency(a: Sequence[Sequence[int]]) -> Graph:
 # structural predicates
 # ---------------------------------------------------------------------------
 
-def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
+def reach(rows, seen: int, alive: int) -> int:
+    """Closure of the vertex mask ``seen`` under adjacency inside ``alive``.
+
+    ``rows`` holds one neighbour bitmask per vertex; the returned mask holds
+    ``seen`` and every vertex of ``alive`` joined to it by a path in
+    ``alive``.  The one frontier walk behind every connectivity question.
+    """
+    frontier = seen
     while frontier:
         nxt = 0
         m = frontier
         while m:
             v = (m & -m).bit_length() - 1
-            nxt |= g.rows[v]
+            nxt |= rows[v]
             m &= m - 1
+        nxt &= alive
         frontier = nxt & ~seen
         seen |= nxt
-    return seen == (1 << g.n) - 1
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    full = (1 << g.n) - 1
+    return reach(g.rows, 1, full) == full
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     unvisited = (1 << g.n) - 1
     comps = []
     while unvisited:
-        start = (unvisited & -unvisited).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                nxt |= g.rows[v]
-                m &= m - 1
-            frontier = nxt & ~seen
-            seen |= nxt
+        seen = reach(g.rows, unvisited & -unvisited, unvisited)
         comps.append(bit_indices(seen))
         unvisited &= ~seen
     return comps
@@ -270,29 +255,16 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
     """
     if g.loops:
         return None
-    color = [-1] * g.n
+    side = [-1] * g.n  # parity of the distance from the component's anchor
     for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            m = g.rows[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-                m &= m - 1
-    a = b = 0
-    for v, c in enumerate(color):
-        if c == 0:
-            a |= 1 << v
-        else:
-            b |= 1 << v
+        if side[start] < 0:
+            for v, d in enumerate(bfs_distances(g, start)):
+                if d >= 0:
+                    side[v] = d & 1
+    a = sum(1 << v for v in range(g.n) if not side[v])
+    b = (1 << g.n) - 1 & ~a
+    if any(g.rows[v] & (b if side[v] else a) for v in range(g.n)):
+        return None
     return a, b
 
 
@@ -458,3 +430,24 @@ def to_graph6(g: Graph) -> str:
     if filled:
         out.append((group << (6 - filled)) + 63)
     return bytes(out).decode("ascii")
+
+
+def read_graph6_lines(lines, on_error):
+    """Yield (line number, Graph) for each nonblank line that parses.
+
+    ``lines`` is any iterable of str or bytes lines (a binary file, say);
+    line numbers count from 1 and include blank lines.  Every other nonblank
+    line is reported to ``on_error`` (line number, message), when given,
+    and skipped.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            g = from_graph6(line)
+        except Graph6Error as exc:
+            if on_error is not None:
+                on_error(lineno, str(exc))
+            continue
+        yield lineno, g

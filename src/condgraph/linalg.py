@@ -197,7 +197,6 @@ def char_poly_and_adjugate(a) -> tuple["IntPolynomial", list[list[int]]]:
     if n == 0:
         return IntPolynomial([1]), []
     nz = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    plain = all(w == 1 for row in nz for _, w in row)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = [[int(i == j) for j in range(n)] for i in range(n)]  # M_1 = I
@@ -206,17 +205,11 @@ def char_poly_and_adjugate(a) -> tuple["IntPolynomial", list[list[int]]]:
         am = []
         for row_nz in nz:
             acc = None
-            if plain:
-                for j, _ in row_nz:
-                    src = m[j]
-                    acc = list(src) if acc is None \
-                        else [x + y for x, y in zip(acc, src)]
-            else:
-                for j, w in row_nz:
-                    src = m[j]
-                    term = src if w == 1 else [w * y for y in src]
-                    acc = list(term) if acc is None \
-                        else [x + y for x, y in zip(acc, term)]
+            for j, w in row_nz:
+                src = m[j]
+                term = src if w == 1 else [w * y for y in src]
+                acc = list(term) if acc is None \
+                    else [x + y for x, y in zip(acc, term)]
             am.append([0] * n if acc is None else acc)
         tr = sum(am[i][i] for i in range(n))
         q, rem = divmod(-tr, k)

@@ -1,6 +1,7 @@
 """Enumeration, census pipeline, persistence, family coverage."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -44,6 +45,19 @@ def test_enumerate_cubic_counts():
         assert len(graphs) == count
         assert all(all(g.degree(v) == 3 for v in range(g.n)) for g in graphs)
     assert list(enumerate_chemical(5, regular=3)) == []
+
+
+def _stream_digest(graphs):
+    text = "".join(to_graph6(g) + "\n" for g in graphs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_enumeration_streams_are_pinned():
+    # the canonical construction path fixes both the representatives and
+    # their order; these digests change if either does
+    assert _stream_digest(enumerate_connected(7)) == "ac8901b8b721dd20"
+    assert _stream_digest(enumerate_chemical(10)) == "ae23e0b99f1239de"
+    assert _stream_digest(enumerate_chemical(12, regular=3)) == "4f738f6e3215b235"
 
 
 def test_enumerate_range_errors():
@@ -192,7 +206,44 @@ def test_census_source_checks_its_arguments(tmp_path):
         with pytest.raises(ValueError):
             run_census_persistent(*args[:2], tmp_path / "store",
                                   source_path=args[2])
+    for shards in (0, -2):
+        with pytest.raises(ValueError, match="at least one shard"):
+            run_census_persistent("connected", 5, tmp_path / "store",
+                                  shards=shards)
     assert not (tmp_path / "store").exists()
+
+
+def test_census_source_reports_disconnected_ingested_graphs(tmp_path):
+    src = tmp_path / "graphs.g6"
+    src.write_text("Ch\nC?\n\nC!x\nDQw\n")
+    errors = []
+    graphs = list(census_source("connected", None, src,
+                                on_error=lambda *err: errors.append(err)))
+    assert [to_graph6(g) for g in graphs] == ["Ch", "DQw"]
+    assert [lineno for lineno, _ in errors] == [2, 4]
+    assert errors[0][1] == "input graph is disconnected"
+    # ingest_graph6 itself still yields every graph that parses
+    assert len(list(ingest_graph6(src))) == 3
+
+
+def test_persistent_census_resume_verifies_checksums(tmp_path):
+    outdir = tmp_path / "census"
+    run_census_persistent("connected", 5, outdir, shards=3, record_all=True)
+    store = CensusStore(outdir, 5)
+    _, first, second, _ = store.manifest_path.read_text().splitlines()
+    shard, count = second.split(",")[:2]
+    # flip one byte in the first row of the second shard the manifest lists
+    data = bytearray(store.csv_path.read_bytes())
+    rows = data.split(b"\n")
+    offset = sum(len(row) + 1 for row in rows[:1 + int(first.split(",")[1])])
+    assert int(count) > 0
+    data[offset + 3] ^= 1
+    store.csv_path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as info:
+        run_census_persistent("connected", 5, outdir, shards=3, record_all=True)
+    assert f"shard {shard} " in str(info.value)
+    assert str(store.csv_path) in str(info.value)
+    assert store.csv_path.read_bytes() == bytes(data)
 
 
 def test_persistent_census_and_resume(tmp_path):

@@ -128,6 +128,42 @@ def test_census_persistent_ingest(capsys, tmp_path):
     assert len((outdir / "positives_ingest.g6").read_text().splitlines()) == 1
 
 
+def test_census_reports_a_disconnected_ingested_graph_once(capsys, tmp_path):
+    # line 2 is four isolated vertices; both paths name it once and go on
+    src = tmp_path / "graphs.g6"
+    src.write_text("Ch\nC?\nDQw\n")
+    code, plain, err = run(capsys, "census", "--ingest", str(src))
+    assert code == 0 and plain.split() == ["4,1,1,0", "5,1,0,0"]
+    assert err == "line 2: input graph is disconnected\n"
+    code, stored, err = run(capsys, "census", "--ingest", str(src), "--out",
+                            str(tmp_path / "store"), "--shards", "2")
+    assert code == 0 and stored == plain
+    assert err == "line 2: input graph is disconnected\n"
+
+
+def test_census_refuses_fewer_than_one_shard(capsys, tmp_path):
+    for shards in ("0", "-1"):
+        outdir = tmp_path / f"store{shards}"
+        code, out, err = run(capsys, "census", "--mode", "connected", "--n", "5",
+                             "--out", str(outdir), "--shards", shards)
+        assert code == 2 and out == "" and "shard" in err
+        assert not outdir.exists()
+
+
+def test_conduct_reads_stdin():
+    src = str(Path(condgraph.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "condgraph.cli", "conduct",
+                           "--in", "-"], input="Ch\n\nC`\nCl\n", env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines() == [
+        "G^C: Cd;loops=none components=1",
+        "G^C: CQ;loops=0,1,2,3 components=2"]
+    assert proc.stderr == "line 3: input graph is disconnected\n"
+
+
 def _order_and_file(capsys, tmp_path, *extra):
     # the file's graphs have orders of their own (4 and 5 here), so --n
     # would name a store for one order and fill it with others

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from condgraph.graphs import (Graph, Graph6Error, adjacency_matrix, bfs_distances,
                               bipartition, complete_graph, cycle_graph,
                               degree_sequence, from_graph6, graph_from_adjacency,
-                              is_bipartite, is_chemical, is_connected, path_graph,
+                              connected_components, is_bipartite, is_chemical,
+                              is_connected, path_graph, reach, read_graph6_lines,
                               star_graph, to_graph6)
 
 from conftest import brute_force_bipartite, random_graph
@@ -224,6 +225,9 @@ def test_bipartition_masks():
     a, b = sides
     assert a | b == 0b1111 and a & b == 0
     assert bipartition(cycle_graph(5)) is None
+    # each component's least vertex takes the first side
+    assert bipartition(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])) == (
+        0b10101, 0b01010)
 
 
 def test_bfs_distances():
@@ -231,3 +235,49 @@ def test_bfs_distances():
     assert bfs_distances(g, 0) == [0, 1, 2, 3, 4]
     two = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert bfs_distances(two, 0) == [0, 1, -1, -1]
+
+
+def _nx_graph(g):
+    import networkx as nx
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_connectivity_against_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    from condgraph.census import _connected_without
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, p=rng.choice([0.15, 0.3, 0.5]))
+        h = _nx_graph(g)
+        assert is_connected(g) == nx.is_connected(h), g
+        assert sorted(connected_components(g)) == sorted(
+            sorted(c) for c in nx.connected_components(h)), g
+        for v in range(n):
+            if n == 1:
+                continue
+            rest = h.copy()
+            rest.remove_node(v)
+            assert is_connected(g.delete_vertices([v])) == nx.is_connected(rest)
+            assert _connected_without(list(g.rows), n, v) == \
+                nx.is_connected(rest), (g, v)
+
+
+def test_reach_stays_inside_alive():
+    g = path_graph(5)
+    assert reach(g.rows, 1, 0b11111) == 0b11111
+    assert reach(g.rows, 1, 0b11011) == 0b00011  # vertex 2 is dead
+    assert reach(g.rows, 1 << 4, 0b11011) == 0b11000
+
+
+def test_read_graph6_lines_reports_bad_lines():
+    errors = []
+    lines = [b"Ch\n", b"\n", b"  \n", b"C!x\n", "DQw", b"Cl\r\n"]
+    got = list(read_graph6_lines(lines, lambda *err: errors.append(err)))
+    assert [(lineno, to_graph6(g)) for lineno, g in got] == [
+        (1, "Ch"), (5, "DQw"), (6, "Cl")]
+    assert [lineno for lineno, _ in errors] == [4]
+    assert "trailing garbage" in errors[0][1]
+    assert len(list(read_graph6_lines([b"C!x"], None))) == 0
