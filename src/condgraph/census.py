@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from pathlib import Path
 
 from .classify import check_theorem, classification_report, conduction_isomorphism
@@ -172,9 +172,7 @@ def enumerate_connected(n: int):
     Built-in generation supports 1 <= n <= 10; feed larger orders through
     :func:`ingest_graph6`.
     """
-    if not 1 <= n <= MAX_BUILTIN_CONNECTED:
-        raise ValueError(f"built-in generation supports 1..{MAX_BUILTIN_CONNECTED}, "
-                         f"got {n}")
+    _check_order(n, MAX_BUILTIN_CONNECTED)
     yield from _grow([0], 1, n, None, None, None)
 
 
@@ -185,14 +183,17 @@ def enumerate_chemical(n: int, regular: int | None = None):
     pruning making the restricted run far cheaper than the full sweep.
     Built-in generation supports 1 <= n <= 16.
     """
-    if not 1 <= n <= MAX_BUILTIN_CHEMICAL:
-        raise ValueError(f"built-in generation supports 1..{MAX_BUILTIN_CHEMICAL}, "
-                         f"got {n}")
+    _check_order(n, MAX_BUILTIN_CHEMICAL)
     if regular is not None and regular != 3:
         raise ValueError("only regular=3 is supported")
     if regular == 3 and (n < 4 or n % 2):
         return
     yield from _grow([0], 1, n, None, 3, regular)
+
+
+def _check_order(n: int, top: int):
+    if not 1 <= n <= top:
+        raise ValueError(f"built-in generation supports 1..{top}, got {n}")
 
 
 def ingest_graph6(path, on_error=None, dedupe: bool = False):
@@ -213,41 +214,66 @@ def ingest_graph6(path, on_error=None, dedupe: bool = False):
             yield g
 
 
-def census_source(mode: str, n: int | None, source_path, on_error=None):
+def census_source(mode: str, n: int | None, source_path, on_error=None,
+                  shard: int = 0, shards: int = 1):
     """Every connected or chemical graph (``mode``) on ``n`` vertices, or
-    the connected graphs of the graph6 file ``source_path``.
+    those graphs of the graph6 file ``source_path``; with ``shards`` > 1,
+    only the slice of them that belongs to shard ``shard``.
 
-    A file's unparsable lines and disconnected graphs are reported to
-    ``on_error`` (line number, message) and skipped.  A bad mode, an order
-    together with a file (whose graphs have orders of their own) or neither
-    raise ValueError before any graph is produced.
+    A class is split at order n - 1 of its generation tree: the i-th node
+    there (counting from 0), with its subtree, belongs to shard
+    i mod ``shards``, so the shards together grow each node once.  Line N of
+    a file belongs to shard (N - 1) mod ``shards``; other shards' lines are
+    not parsed.  A file's unparsable lines, disconnected graphs and, in
+    chemical mode, graphs of a degree above 3 are reported to ``on_error``
+    (line number, message) by the shard that owns the line, and skipped.
+    With one shard the stream is the whole source in its own order.  A bad
+    mode, order or shard count, an order together with a file (whose graphs
+    have orders of their own) or neither raise ValueError before any graph
+    is produced.
     """
     if mode not in ("connected", "chemical"):
         raise ValueError("mode must be 'connected' or 'chemical'")
+    if shards < 1:
+        raise ValueError(f"census needs at least one shard, got {shards}")
+    chemical = mode == "chemical"
     if source_path is not None:
         if n is not None:
             raise ValueError("census takes --n or --ingest, not both")
-        return _ingest_connected(source_path, on_error)
+        return _ingest_slice(source_path, chemical, on_error, shard, shards)
     if n is None:
         raise ValueError("census needs --n or --ingest")
-    return enumerate_connected(n) if mode == "connected" \
-        else enumerate_chemical(n)
+    _check_order(n, MAX_BUILTIN_CHEMICAL if chemical else MAX_BUILTIN_CONNECTED)
+    # the class at order n - 1 is the tree's nodes at that order, in order
+    nodes = (enumerate_chemical if chemical else enumerate_connected)(max(n - 1, 1))
+    cap = 3 if chemical else None
+    return (g for node in islice(nodes, shard, None, shards)
+            for g in _grow(node.rows, node.n, n, None, cap, None))
 
 
-def connected_graph6(lines, on_error):
-    """The connected graphs of graph6 ``lines``; unparsable lines and
-    disconnected graphs are reported to ``on_error`` (line number, message),
-    when given, and skipped."""
-    for lineno, g in read_graph6_lines(lines, on_error):
-        if is_connected(g):
-            yield g
-        elif on_error is not None:
-            on_error(lineno, "input graph is disconnected")
-
-
-def _ingest_connected(path, on_error):
+def _ingest_slice(path, chemical, on_error, shard, shards):
     with open(path, "rb") as fh:
-        yield from connected_graph6(fh, on_error)
+        # other shards' lines read as blank: never parsed, numbering kept
+        mine = (line if i % shards == shard else b""
+                for i, line in enumerate(fh))
+        yield from connected_graph6(mine, on_error, chemical)
+
+
+def connected_graph6(lines, on_error, chemical: bool = False):
+    """The connected graphs of graph6 ``lines``, only those of maximum
+    degree at most 3 when ``chemical``; unparsable lines and the other
+    graphs are reported to ``on_error`` (line number, message), when given,
+    and skipped."""
+    for lineno, g in read_graph6_lines(lines, on_error):
+        if not is_connected(g):
+            problem = "input graph is disconnected"
+        elif chemical and not is_chemical(g):
+            problem = "input graph is not chemical"
+        else:
+            yield g
+            continue
+        if on_error is not None:
+            on_error(lineno, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +376,14 @@ def run_census(source, record_all: bool = False, on_skip=None):
 # persistence: append-only CSV + graph6 sidecar + shard manifest
 # ---------------------------------------------------------------------------
 
-def _shard_of(g6: str, shards: int) -> int:
-    digest = hashlib.sha256(g6.encode("ascii")).digest()
-    return int.from_bytes(digest[:4], "big") % shards
-
-
 def _shard_job(args):
     mode, n, shard, shards, record_all, source_path = args
     errors = []
-    source = census_source(mode, n, source_path,
-                           on_error=lambda *err: errors.append(err))
-    stream = (g for g in source if _shard_of(to_graph6(g), shards) == shard)
-    summary, records = run_census(stream, record_all=record_all)
-    buf = io.StringIO()
-    for rec in records:
-        buf.write(rec.csv_row() + "\n")
-    return shard, summary, records, buf.getvalue(), errors
+    summary, records = run_census(
+        census_source(mode, n, source_path, lambda *err: errors.append(err),
+                      shard, shards),
+        record_all=record_all)
+    return shard, summary, records, errors
 
 
 class CensusStore:
@@ -373,15 +391,19 @@ class CensusStore:
 
     ``census_n<k>.csv`` accumulates records (header once), ``positives_n<k>.g6``
     the conduction-isomorphic graphs, and ``manifest_n<k>.txt`` the run's
-    settings, ``mode=<mode>,n=<order>,shards=<count>,record_all=<0|1>``,
+    settings,
+    ``mode=<mode>,n=<order>,shards=<count>,split=tree,record_all=<0|1>``,
     then one line per completed shard: ``shard_id,count,checksum`` followed
     by the shard's summary rows, four fields
-    ``order,total,cond_iso,cond_iso_nonbipartite`` per order.  Without an
+    ``order,total,cond_iso,cond_iso_nonbipartite`` per order.  ``split``
+    names how :func:`census_source` slices the source into shards: ``tree``
+    for an enumerated class, ``lines`` for an ingested file.  Without an
     order (an ingested file of any orders) the files are
     ``census_ingest.csv``, ``positives_ingest.g6`` and
     ``manifest_ingest.txt``, and the settings say ``n=ingest``.  Re-running
     with the same settings skips completed shards and takes their totals
-    from the manifest; every shard's bytes are reproducible.
+    from the manifest; every shard's bytes are reproducible.  The sidecar
+    is rebuilt on every start from the checksum-verified CSV rows.
     """
 
     def __init__(self, outdir, n: int | None):
@@ -401,8 +423,9 @@ class CensusStore:
         Returns :meth:`completed_summaries`.  Each completed shard's CSV rows
         must match the checksum its manifest line stores, else ValueError
         names the shard and the file.  Rows that a stopped run appended after
-        its last manifest line are cut from the CSV and the sidecar, because
-        the rerun writes them again.
+        its last manifest line are cut from the CSV, because the rerun writes
+        them again, and the sidecar is rewritten as the graph6 of the
+        verified rows with ``cond_iso`` 1, in their order.
         """
         lines = self.manifest_path.read_text().splitlines() \
             if self.manifest_path.exists() else []
@@ -412,30 +435,32 @@ class CensusStore:
             stored = lines[0] if lines[0].startswith("mode=") else "no settings"
             raise ValueError(f"census store {self.manifest_path} holds {stored}; "
                              f"this run asks for {settings}")
-        rows = self._check_rows(line for line in lines[1:] if line.strip())
-        done = self.completed_summaries()
-        positives = sum(row[1] for part in done.values()
-                        for row in part.counts.values())
+        rows, positives = self._check_rows(line for line in lines[1:] if line.strip())
         _keep_lines(self.csv_path, 1 + rows)
-        _keep_lines(self.sidecar_path, positives)
-        return done
+        self.sidecar_path.write_bytes(b"".join(g6 + b"\n" for g6 in positives))
+        return self.completed_summaries()
 
-    def _check_rows(self, shard_lines) -> int:
+    def _check_rows(self, shard_lines) -> tuple[int, list[bytes]]:
         """Hash each completed shard's segment of the CSV against the
-        checksum of its manifest line; returns the rows they hold."""
-        rows = 0
+        checksum of its manifest line; returns the number of rows they hold
+        and the graph6 of those whose ``cond_iso`` is 1."""
+        rows, positives = 0, []
         with (open(self.csv_path, "rb") if self.csv_path.exists()
               else io.BytesIO()) as fh:
             fh.readline()  # header
             for line in shard_lines:
                 shard, count, checksum = line.split(",")[:3]
-                text = b"".join(fh.readline() for _ in range(int(count)))
-                if hashlib.sha256(text).hexdigest()[:16] != checksum:
+                segment = [fh.readline() for _ in range(int(count))]
+                if hashlib.sha256(b"".join(segment)).hexdigest()[:16] != checksum:
                     raise ValueError(f"census store {self.csv_path}: the rows of "
                                      f"shard {shard} do not match their checksum "
                                      f"in {self.manifest_path}")
-                rows += int(count)
-        return rows
+                rows += len(segment)
+                for row in segment:
+                    _, g6, _, cond_iso = row.split(b",", 4)[:4]
+                    if cond_iso == b"1":
+                        positives.append(g6)
+        return rows, positives
 
     def completed_summaries(self) -> dict[int, CensusSummary]:
         """Each completed shard's id mapped to the summary it stored."""
@@ -456,8 +481,8 @@ class CensusStore:
     def completed_shards(self) -> set[int]:
         return set(self.completed_summaries())
 
-    def append_shard(self, shard: int, records, csv_text: str,
-                     summary: CensusSummary):
+    def append_shard(self, shard: int, records, summary: CensusSummary):
+        csv_text = "".join(rec.csv_row() + "\n" for rec in records)
         if not self.csv_path.exists():
             self.csv_path.write_text(CSV_HEADER + "\n")
         with open(self.csv_path, "a") as fh:
@@ -490,35 +515,35 @@ def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
                           source_path=None, on_error=None) -> CensusSummary:
     """Sharded, resumable census for one order; returns the merged summary.
 
-    Shards are processed in increasing id order (in parallel when jobs > 1)
-    so completed output files are byte-stable across reruns.  Shards that an
-    earlier run completed contribute the totals stored in the manifest.
-    The graphs come from :func:`census_source` (``n`` or ``source_path``),
-    which checks its arguments before the store is touched.  Every shard
-    reads the whole source, so its unparsable lines and disconnected graphs
-    are reported to ``on_error`` (line number, message) once, from the first
-    shard run.  A shard count below 1, a store made with another mode,
-    order, shard count or ``record_all``, or a completed shard whose CSV rows
-    fail their checksum raise ValueError.
+    Shard s classifies the slice ``census_source(..., s, shards)`` of the
+    source (``n`` or ``source_path``), so the shards together enumerate the
+    class, or parse the file, about once.  Shards are processed in
+    increasing id order (in parallel when jobs > 1) so completed output
+    files are byte-stable across reruns.  Shards that an earlier run
+    completed contribute the totals stored in the manifest.  Each shard run
+    reports its own lines' problems to ``on_error`` (line number, message).
+    Bad arguments (see :func:`census_source`, checked before the store is
+    touched), a store made with another mode, order, shard count, split or
+    ``record_all``, or a completed shard whose CSV rows fail their checksum
+    raise ValueError.
     """
-    census_source(mode, n, source_path)  # checks the arguments only
-    if shards < 1:
-        raise ValueError(f"census needs at least one shard, got {shards}")
+    census_source(mode, n, source_path, shards=shards)  # checks the arguments only
     store = CensusStore(outdir, n)
     done = store.begin(f"mode={mode},n={'ingest' if n is None else n},"
-                       f"shards={shards},record_all={int(record_all)}")
+                       f"shards={shards},split={'lines' if n is None else 'tree'},"
+                       f"record_all={int(record_all)}")
     summary = CensusSummary()
     for part in done.values():
         summary.merge(part)
-    todo = [s for s in range(shards) if s not in done]
-    args = [(mode, n, s, shards, record_all, source_path) for s in todo]
+    args = [(mode, n, s, shards, record_all, source_path)
+            for s in range(shards) if s not in done]
 
-    def finish(shard, part, records, csv_text, errors):
-        if on_error is not None and shard == todo[0]:
+    def finish(shard, part, records, errors):
+        if on_error is not None:
             for lineno, msg in errors:
                 on_error(lineno, msg)
         summary.merge(part)
-        store.append_shard(shard, records, csv_text, part)
+        store.append_shard(shard, records, part)
 
     if jobs > 1 and len(args) > 1:
         import multiprocessing
@@ -537,33 +562,31 @@ def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
 
 @dataclass
 class CoverageReport:
-    matched: dict          # graph6 -> family tag
+    matched: dict          # graph6 -> family name in families.FAMILIES
     residuals: list        # graph6 strings not matched by any family
 
 
 def _family_members(n: int, cdc_bases) -> dict:
-    """Canonical forms of every family member on n vertices, tagged."""
+    """Canonical forms of every chemical family member on n vertices, tagged
+    with the family's name in :data:`families.FAMILIES`."""
     from . import families
     members = {}
-
-    def put(g, tag):
-        members.setdefault(canonical_form(g), tag)
-
-    if n % 2 == 0 and n >= 2:
-        put(families.comb(n // 2), "corona(path)")
-        if n >= 6:
-            put(families.radialene(n // 2), "corona(cycle)")
-    if n % 4 == 0 and n >= 8:
-        put(families.min_deg2_graph(n // 4), "min_deg2")
-    if n % 2 == 0 and n >= 6:
-        k = n // 2
-        if 2 * k - 3 <= 3:  # only chemical members matter here
-            put(families.large_min_deg_graph(k), "large_min_deg")
-    if (n + 4) % 4 == 0 and n >= 8:
-        put(families.appendix_family_graph((n + 4) // 4), "appendix")
+    for name, family in families.FAMILIES.items():
+        if family.order is None:
+            continue
+        for k in range(1, n + 1):
+            if family.order(k) != n:
+                continue
+            try:
+                g = family.build(k, None)
+            except ValueError:  # k below the family's least size
+                continue
+            if is_chemical(g):
+                members.setdefault(canonical_form(g), name)
     for base in cdc_bases:
         if 2 * base.n == n:
-            put(families.canonical_double_cover(base), "cdc")
+            members.setdefault(canonical_form(families.canonical_double_cover(base)),
+                               "cdc")
     return members
 
 

@@ -119,7 +119,7 @@ def _cmd_census(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    for lineno, msg in errors:
+    for lineno, msg in sorted(errors):  # shards report their own lines
         print(f"line {lineno}: {msg}", file=sys.stderr)
     for n in sorted(summary.counts):
         total, ci, nb = summary.row(n)

@@ -246,6 +246,7 @@ class _Family:
     needs: str  # the parameter that must be given: "k" or "base"
     build: Callable[[int | None, Graph | None], Graph]
     witness: Callable[[int | None, Graph | None], list[int]]
+    order: Callable[[int], int] | None = None  # a k-family's order from k
 
 
 def _rounds(k: int | None) -> int:
@@ -271,17 +272,18 @@ FAMILIES = {
     "corona": _Family("base", lambda k, base: corona(base, _rounds(k)),
                       lambda k, base: corona_witness(base.n << _rounds(k))),
     "comb": _Family("k", lambda k, base: comb(k),
-                    lambda k, base: corona_witness(2 * k)),
+                    lambda k, base: corona_witness(2 * k), lambda k: 2 * k),
     "radialene": _Family("k", lambda k, base: radialene(k),
-                         lambda k, base: corona_witness(2 * k)),
+                         lambda k, base: corona_witness(2 * k), lambda k: 2 * k),
     "min_deg2": _Family("k", lambda k, base: min_deg2_graph(k),
-                        lambda k, base: min_deg2_witness(k)),
+                        lambda k, base: min_deg2_witness(k), lambda k: 4 * k),
     "large_min_deg": _Family("k", lambda k, base: large_min_deg_graph(k),
-                             lambda k, base: large_min_deg_witness(k)),
+                             lambda k, base: large_min_deg_witness(k),
+                             lambda k: 2 * k),
     "cdc": _Family("base", lambda k, base: canonical_double_cover(base),
                    lambda k, base: _cdc_witness_of(base)),
     "appendix": _Family("k", lambda k, base: appendix_family_graph(k),
-                        lambda k, base: appendix_witness(k)),
+                        lambda k, base: appendix_witness(k), lambda k: 4 * k - 4),
 }
 
 

@@ -3,10 +3,11 @@
 import csv
 import hashlib
 import io
+from collections import Counter
 
 import pytest
 
-from condgraph import linalg
+from condgraph import census, graphs as graphs_module, linalg
 from condgraph.census import (CensusStore, census_record, census_source,
                               enumerate_chemical, enumerate_connected,
                               ingest_graph6, run_census, run_census_persistent,
@@ -52,11 +53,14 @@ def _stream_digest(graphs):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+PINNED = {("connected", 7): "ac8901b8b721dd20", ("chemical", 10): "ae23e0b99f1239de"}
+
+
 def test_enumeration_streams_are_pinned():
     # the canonical construction path fixes both the representatives and
     # their order; these digests change if either does
-    assert _stream_digest(enumerate_connected(7)) == "ac8901b8b721dd20"
-    assert _stream_digest(enumerate_chemical(10)) == "ae23e0b99f1239de"
+    assert _stream_digest(enumerate_connected(7)) == PINNED["connected", 7]
+    assert _stream_digest(enumerate_chemical(10)) == PINNED["chemical", 10]
     assert _stream_digest(enumerate_chemical(12, regular=3)) == "4f738f6e3215b235"
 
 
@@ -200,7 +204,7 @@ def test_census_source_checks_its_arguments(tmp_path):
     assert [g.n for g in census_source("connected", None, src)] == [4, 5]
     assert len(list(census_source("chemical", 6, None))) == 29
     for args in (("connected", 4, src), ("connected", None, None),
-                 ("cubic", 4, None)):
+                 ("cubic", 4, None), ("connected", 11, None)):
         with pytest.raises(ValueError):
             census_source(*args)
         with pytest.raises(ValueError):
@@ -224,6 +228,98 @@ def test_census_source_reports_disconnected_ingested_graphs(tmp_path):
     assert errors[0][1] == "input graph is disconnected"
     # ingest_graph6 itself still yields every graph that parses
     assert len(list(ingest_graph6(src))) == 3
+
+
+def test_census_source_refuses_non_chemical_ingested_graphs(tmp_path):
+    src = tmp_path / "graphs.g6"
+    src.write_text("Ds_\nCh\n")  # the star K1,4, then P4
+    errors = []
+    graphs = list(census_source("chemical", None, src,
+                                on_error=lambda *err: errors.append(err)))
+    assert [to_graph6(g) for g in graphs] == ["Ch"]
+    assert errors == [(1, "input graph is not chemical")]
+    assert len(list(census_source("connected", None, src))) == 2
+
+
+def _mixed_file(path):
+    """Every connected graph on 5 vertices (chemical or not), with blank,
+    unparsable and disconnected lines between them."""
+    lines = [to_graph6(g) for g in enumerate_connected(5)]
+    for i, extra in enumerate(["", "C?", "###", "", "C!x", "C`"]):
+        lines.insert(3 * i + 1, extra)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 4, 7])
+def test_shards_partition_the_source(tmp_path, shards):
+    src = _mixed_file(tmp_path / "mixed.g6")
+    sources = [("connected", n, None) for n in range(1, 8)]
+    sources += [("chemical", n, None) for n in range(1, 11)]
+    sources += [("connected", None, src), ("chemical", None, src)]
+    for mode, n, path in sources:
+        whole_errors = []
+        if path is None:
+            whole = list(enumerate_connected(n) if mode == "connected"
+                         else enumerate_chemical(n))
+        else:
+            whole = list(census_source(mode, n, path,
+                                       lambda *err: whole_errors.append(err)))
+        parts, errors = [], []
+        for shard in range(shards):
+            part_errors = []
+            parts.append(list(census_source(
+                mode, n, path, lambda *err: part_errors.append(err),
+                shard, shards)))
+            errors.append(part_errors)
+            # line N belongs to shard (N - 1) mod shards
+            assert all((lineno - 1) % shards == shard for lineno, _ in part_errors)
+        union = [to_graph6(g) for part in parts for g in part]
+        assert Counter(union) == Counter(map(to_graph6, whole))
+        forms = [{canonical_form(g) for g in part} for part in parts]
+        assert sum(map(len, forms)) == len(set().union(*forms)) == len(union)
+        assert sorted(err for part in errors for err in part) == sorted(whole_errors)
+        if shards == 1:
+            assert list(map(to_graph6, parts[0])) == list(map(to_graph6, whole))
+            if (mode, n) in PINNED:
+                assert _stream_digest(parts[0]) == PINNED[mode, n]
+
+
+def test_sharded_census_enumerates_about_once(tmp_path, monkeypatch):
+    # the shards share the tree above order n - 1 and split what is below
+    calls = [0]
+    real = census._accepts
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(census, "_accepts", counted)
+    list(enumerate_chemical(10))
+    once, calls[0] = calls[0], 0
+    summary = run_census_persistent("chemical", 10, tmp_path, shards=4)
+    assert summary.row(10) == (1733, 3, 1)
+    assert calls[0] <= 2 * once
+
+
+def test_sharded_ingest_parses_each_line_once(tmp_path, monkeypatch):
+    src = _mixed_file(tmp_path / "mixed.g6")
+    parsed = []
+    real = graphs_module.from_graph6
+
+    def counted(line):
+        parsed.append(line)
+        return real(line)
+
+    monkeypatch.setattr(graphs_module, "from_graph6", counted)
+    errors = []
+    summary = run_census_persistent("connected", None, tmp_path / "store",
+                                    shards=4, source_path=src,
+                                    on_error=lambda *err: errors.append(err))
+    nonblank = [line.encode() for line in src.read_text().split()]
+    assert sorted(parsed) == sorted(nonblank)
+    assert summary.row(5) == (21, 0, 0)
+    assert sorted(lineno for lineno, _ in errors) == [5, 8, 14, 17]
 
 
 def test_persistent_census_resume_verifies_checksums(tmp_path):
@@ -263,7 +359,7 @@ def test_persistent_census_and_resume(tmp_path):
     # the settings line, then rows shard,count,checksum,order,total,cond_iso,
     # nonbipartite
     settings, *lines = manifest.decode().splitlines()
-    assert settings == "mode=connected,n=5,shards=3,record_all=0"
+    assert settings == "mode=connected,n=5,shards=3,split=tree,record_all=0"
     totals = 0
     for line in lines:
         shard, count, checksum, order, total, ci, nb = line.split(",")
@@ -342,5 +438,5 @@ def test_verify_family_coverage_chemical_upto_8():
     residual_forms = {canonical_form(from_graph6(s)) for s in report.residuals}
     expected = {canonical_form(fixture("ladder_l3")), canonical_form(fixture("e8"))}
     assert residual_forms == expected
-    assert set(report.matched.values()) >= {"corona(path)", "corona(cycle)",
-                                            "min_deg2", "appendix"}
+    assert set(report.matched.values()) >= {"comb", "radialene", "min_deg2",
+                                            "appendix"}

@@ -141,6 +141,52 @@ def test_census_reports_a_disconnected_ingested_graph_once(capsys, tmp_path):
     assert err == "line 2: input graph is disconnected\n"
 
 
+def test_census_refuses_non_chemical_ingested_graphs(capsys, tmp_path):
+    src = tmp_path / "graphs.g6"
+    src.write_text("Ds_\nCh\n")  # the star K1,4, then P4
+    argv = ["census", "--mode", "chemical", "--ingest", str(src), "--all"]
+    code, plain, err = run(capsys, *argv, "--verbose")
+    assert code == 0 and plain.splitlines()[0] == "4,1,1,0"
+    assert len(plain.splitlines()) == 2
+    assert err == "line 1: input graph is not chemical\n"
+    code, stored, err = run(capsys, *argv, "--out", str(tmp_path / "store"),
+                            "--shards", "2")
+    assert code == 0 and stored == "4,1,1,0\n"
+    assert err == "line 1: input graph is not chemical\n"
+
+
+def test_census_resume_rebuilds_the_sidecar(capsys, tmp_path):
+    argv = ["census", "--mode", "connected", "--n", "6", "--shards", "2"]
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "fresh"))
+    assert code == 0 and out.strip() == "6,112,4,2"
+    fresh = (tmp_path / "fresh" / "positives_n6.g6").read_text()
+    outdir = tmp_path / "store"
+    run(capsys, *argv, "--out", str(outdir))
+    sidecar = outdir / "positives_n6.g6"
+    sidecar.write_text("Ch\n" + "".join(sidecar.read_text().splitlines(True)[1:]))
+    code, out, _ = run(capsys, *argv, "--out", str(outdir))
+    assert code == 0 and out.strip() == "6,112,4,2"
+    assert sidecar.read_text() == fresh
+
+
+def test_census_refuses_a_store_without_the_split(capsys, tmp_path):
+    # a store written before the settings named the split was sharded by
+    # another rule; resuming it would repeat some graphs and miss others
+    outdir = tmp_path / "store"
+    argv = ["census", "--mode", "connected", "--n", "6", "--out", str(outdir),
+            "--shards", "2"]
+    run(capsys, *argv)
+    manifest = outdir / "manifest_n6.txt"
+    settings, first, _ = manifest.read_text().splitlines()
+    assert settings == "mode=connected,n=6,shards=2,split=tree,record_all=0"
+    manifest.write_text("mode=connected,n=6,shards=2,record_all=0\n" + first + "\n")
+    before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "split=tree" in err and "shards=2,record_all=0" in err
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+
 def test_census_refuses_fewer_than_one_shard(capsys, tmp_path):
     for shards in ("0", "-1"):
         outdir = tmp_path / f"store{shards}"

@@ -288,6 +288,10 @@ def test_build_family_and_witness_dispatch():
     for name, family in FAMILIES.items():
         k, base = (3, None) if family.needs == "k" else (None, fixture("radialene3"))
         check_witness(build_family(name, k, base), witness_isomorphism(name, k, base))
+        # a k-family's table entry gives its members' order
+        assert (family.order is None) == (family.needs == "base")
+        for k in (3, 4, 5) if family.order else ():
+            assert build_family(name, k).n == family.order(k)
     with pytest.raises(ValueError):
         build_family("corona")
     with pytest.raises(ValueError):
