@@ -25,10 +25,13 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from pathlib import Path
 
-from .classify import check_theorem, classification_report, conduction_isomorphism
+from .classify import check_theorem, classification_report, conduction_isomorphisms
+# the one-graph screen stays importable from here, where perfbench's tracer
+# looks it up by name
+from .classify import conduction_isomorphism  # noqa: F401
 from .graphs import (Graph, from_graph6, is_chemical, is_connected, reach,
                      read_graph6_lines, to_graph6)
-from .isomorphism import canonical_data, canonical_form
+from .isomorphism import canonical_data, canonical_form, equitable_partition
 
 MAX_BUILTIN_CONNECTED = 10
 MAX_BUILTIN_CHEMICAL = 16
@@ -91,9 +94,13 @@ def _accepts(rows, n, w):
     (degree, sorted neighbour degrees), ties broken by canonical position.
     Checks run lazily from cheapest to dearest: degree comparison, one
     connectivity probe per potentially outranking vertex, neighbour keys
-    only inside the tied degree class, and a full canonical labelling only
-    when real ties remain.  Returns (accepted, canonical data or None);
-    the data is reused for the accepted child's own augmentation orbits.
+    only inside the tied degree class, then the equitable partition, and a
+    full canonical labelling only when a tie shares w's cell.  Canonical
+    positions follow the partition's cell order and automorphisms keep its
+    cells, so a tie in a later cell than w's outranks w's whole orbit, and
+    ties only in earlier cells leave w the choice.  Returns (accepted,
+    canonical data or None); the data is reused for the accepted child's own
+    augmentation orbits.
     """
     degs = [r.bit_count() for r in rows]
     w_deg = degs[w]
@@ -117,21 +124,29 @@ def _accepts(rows, n, w):
             ties.append(v)
     if not ties:
         return True, None
-    data = canonical_data(Graph(n, rows))
+    cells = equitable_partition(rows)
+    cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+    if max(cell_of[v] for v in ties) > cell_of[w]:
+        return False, None
+    ties = [v for v in ties if cell_of[v] == cell_of[w]]
+    if not ties:
+        return True, None
+    data = canonical_data(Graph(n, rows), cells)
     ties.append(w)
     delta = max(ties, key=lambda v: data.labeling[v])
     return data.orbits[w] == data.orbits[delta], data
 
 
 def _grow(rows, n, n_target, data, degree_cap, regular):
-    """Depth-first canonical-path generation; yields graphs at n_target.
+    """Depth-first canonical-path generation; yields (graph, canonical data
+    or None) at n_target, the data where acceptance labelled the graph.
 
     The attachment sets are the nonempty sets of at most ``degree_cap``
     vertices of degree below ``degree_cap`` (any sets without a cap), tried
     in increasing mask order.
     """
     if n == n_target:
-        yield Graph(n, rows)
+        yield Graph(n, rows), data
         return
     if degree_cap is None:
         bits = [1 << v for v in range(n)]
@@ -160,7 +175,7 @@ def _grow(rows, n, n_target, data, degree_cap, regular):
             if regular is not None and any(
                     r.bit_count() != regular for r in child):
                 continue
-            yield Graph(n + 1, child)
+            yield Graph(n + 1, child), child_data
         else:
             yield from _grow(child, n + 1, n_target, child_data,
                              degree_cap, regular)
@@ -173,7 +188,8 @@ def enumerate_connected(n: int):
     :func:`ingest_graph6`.
     """
     _check_order(n, MAX_BUILTIN_CONNECTED)
-    yield from _grow([0], 1, n, None, None, None)
+    for g, _ in _grow([0], 1, n, None, None, None):
+        yield g
 
 
 def enumerate_chemical(n: int, regular: int | None = None):
@@ -188,7 +204,8 @@ def enumerate_chemical(n: int, regular: int | None = None):
         raise ValueError("only regular=3 is supported")
     if regular == 3 and (n < 4 or n % 2):
         return
-    yield from _grow([0], 1, n, None, 3, regular)
+    for g, _ in _grow([0], 1, n, None, 3, regular):
+        yield g
 
 
 def _check_order(n: int, top: int):
@@ -244,11 +261,12 @@ def census_source(mode: str, n: int | None, source_path, on_error=None,
     if n is None:
         raise ValueError("census needs --n or --ingest")
     _check_order(n, MAX_BUILTIN_CHEMICAL if chemical else MAX_BUILTIN_CONNECTED)
-    # the class at order n - 1 is the tree's nodes at that order, in order
-    nodes = (enumerate_chemical if chemical else enumerate_connected)(max(n - 1, 1))
+    # the class at order n - 1 is the tree's nodes at that order, in order;
+    # each keeps the canonical data its acceptance computed
     cap = 3 if chemical else None
-    return (g for node in islice(nodes, shard, None, shards)
-            for g in _grow(node.rows, node.n, n, None, cap, None))
+    nodes = _grow([0], 1, max(n - 1, 1), None, cap, None)
+    return (g for node, data in islice(nodes, shard, None, shards)
+            for g, _ in _grow(node.rows, node.n, n, data, cap, None))
 
 
 def _ingest_slice(path, chemical, on_error, shard, shards):
@@ -341,6 +359,13 @@ def census_record(g: Graph) -> CensusRecord:
     )
 
 
+# graphs that run_census pulls from its source and screens together: larger
+# chunks spread numpy's per-call cost in modular_adjugates thinner, but the
+# screen's time levels off from about 128 graphs (measured on connected n = 8
+# and chemical n = 12)
+SCREEN_CHUNK = 128
+
+
 def run_census(source, record_all: bool = False, on_skip=None):
     """Classify a stream of graphs.
 
@@ -348,26 +373,33 @@ def run_census(source, record_all: bool = False, on_skip=None):
     positives, or every graph when ``record_all`` is set, sorted by order and
     canonical graph6.  A recorded graph's verdict, in the summary and in its
     record, is the one :func:`classification_report` decides; without
-    ``record_all`` the cheaper :func:`conduction_isomorphism` screen runs
-    first and only its positives are recorded.  Disconnected or looped
-    input is skipped with a diagnostic through ``on_skip``.
+    ``record_all`` the cheaper :func:`conduction_isomorphisms` screen runs
+    first, on chunks of :data:`SCREEN_CHUNK` graphs, and only its positives
+    are recorded.  Disconnected or looped input is skipped with a diagnostic
+    through ``on_skip``.
     """
     summary = CensusSummary()
     records = []
-    for g in source:
-        if not g.is_simple() or not is_connected(g):
-            if on_skip is not None:
+    source = iter(source)
+    while chunk := list(islice(source, SCREEN_CHUNK)):
+        graphs = []
+        for g in chunk:
+            if g.is_simple() and is_connected(g):
+                graphs.append(g)
+            elif on_skip is not None:
                 on_skip(g, "input graph must be connected and simple")
-            continue
-        if not record_all and conduction_isomorphism(g) is None:
-            summary.add(g.n, False, False)
-            continue
-        rec = census_record(g)
-        if not record_all:
-            check_theorem(rec.cond_iso,
-                          f"screen positive {rec.graph6} fails its record")
-        summary.add(g.n, rec.cond_iso, rec.cond_iso and not rec.bipartite)
-        records.append(rec)
+        screened = [True] * len(graphs) if record_all else \
+            [w is not None for w in conduction_isomorphisms(graphs)]
+        for g, positive in zip(graphs, screened):
+            if not positive:
+                summary.add(g.n, False, False)
+                continue
+            rec = census_record(g)
+            if not record_all:
+                check_theorem(rec.cond_iso,
+                              f"screen positive {rec.graph6} fails its record")
+            summary.add(g.n, rec.cond_iso, rec.cond_iso and not rec.bipartite)
+            records.append(rec)
     records.sort(key=lambda r: (r.n, r.graph6))
     return summary, records
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .conduction import (ConductionGraph, _sub_nullity, conduction_graph,
                          graph_nullity, inverse_conduction_pattern)
@@ -145,19 +147,56 @@ def class_code(g: Graph, cg: ConductionGraph | None = None) -> ClassCode:
 # ---------------------------------------------------------------------------
 
 def conduction_isomorphism(g: Graph) -> list[int] | None:
-    """Witness bijection from g onto its conduction graph, or None.
+    """Witness bijection from g onto its conduction graph, or None; the
+    screen of :func:`conduction_isomorphisms` on one graph."""
+    return conduction_isomorphisms([g])[0]
 
-    Cheap screens run first: a conduction-isomorphic graph must be
-    nonsingular, its conduction graph loopless and connected with the same
-    degree sequence; only survivors pay for a canonical-form comparison.
+
+def conduction_isomorphisms(graphs) -> list[list[int] | None]:
+    """For each graph, in order, a witness bijection from it onto its
+    conduction graph, or None.
+
+    Cheap screens run first: a conduction-isomorphic graph must be simple
+    and nonsingular, its conduction graph loopless and connected with the
+    same degree sequence (the conduction graph of a disconnected graph is
+    disconnected); only survivors pay for a canonical-form comparison.  The
+    graphs of one order share one :func:`linalg.modular_adjugates` call, and
+    the loop and degree screens read its verified patterns in numpy.  A
+    graph that the modular kernel leaves undecided takes the exact route of
+    :func:`inverse_conduction_pattern`.
     """
-    if not g.is_simple() or not is_connected(g):
-        return None
-    try:
-        rows, loops = inverse_conduction_pattern(g)
-    except linalg.SingularMatrixError:
-        return None
-    return _isomorphism_onto(g, rows, loops)
+    out = [None] * len(graphs)
+    by_order = {}
+    for i, g in enumerate(graphs):
+        if g.is_simple():
+            by_order.setdefault(g.n, []).append(i)
+    for n, where in by_order.items():
+        a = _adjacency_stack([graphs[i] for i in where], n)
+        status, _, x = linalg.modular_adjugates(a)
+        pattern = x != 0
+        survives = ((status == linalg.ADJUGATE)
+                    & ~pattern.diagonal(axis1=1, axis2=2).any(axis=1)
+                    & (np.sort(pattern.sum(axis=2), axis=1)
+                       == np.sort(a.sum(axis=2), axis=1)).all(axis=1))
+        bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+        for k in np.flatnonzero(survives):
+            rows = (pattern[k] * bits).sum(axis=1).tolist()
+            out[where[k]] = _isomorphism_onto(graphs[where[k]], rows, 0)
+        for k in np.flatnonzero(status == linalg.UNDECIDED):
+            g = graphs[where[k]]
+            try:
+                rows, loops = inverse_conduction_pattern(g)
+            except linalg.SingularMatrixError:
+                continue
+            out[where[k]] = _isomorphism_onto(g, rows, loops)
+    return out
+
+
+def _adjacency_stack(graphs, n: int) -> np.ndarray:
+    """(B, n, n) int64 adjacency matrices of simple graphs of order n."""
+    rows = np.frombuffer(b"".join(g.rows.tobytes() for g in graphs),
+                         dtype=np.uint64).reshape(len(graphs), n, 1)
+    return (rows >> np.arange(n, dtype=np.uint64) & np.uint64(1)).astype(np.int64)
 
 
 def _isomorphism_onto(g: Graph, rows, loops: int) -> list[int] | None:

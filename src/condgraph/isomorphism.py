@@ -1,13 +1,14 @@
 """Canonical forms and isomorphism testing for graphs with loops.
 
 The canonical form is computed by individualisation-refinement: starting from
-the partition of vertices by loop colour, cells are split by neighbour counts
-until equitable, then a non-singleton target cell is branched on.  Every leaf
-of the search tree yields a labelling; the canonical labelling is the one
-whose relabelled adjacency encoding is smallest.  Automorphisms discovered as
-pairs of leaves with equal encodings prune sibling branches (only generators
-fixing the individualised prefix pointwise are used, which keeps the pruning
-sound) and their closure gives the vertex orbits.
+the partition of vertices by loop colour, cells are split by the cells of
+their neighbours until equitable, then a non-singleton target cell is
+branched on.  Every leaf of the search tree yields a labelling; the canonical
+labelling is the one whose relabelled adjacency encoding is smallest.
+Automorphisms discovered as pairs of leaves with equal encodings prune
+sibling branches (only generators fixing the individualised prefix pointwise
+are used, which keeps the pruning sound) and their closure gives the vertex
+orbits.
 
 Loops are treated as vertex colours, never as degree contributions, so a
 simple graph can never collide with a looped one.  Suitable for the orders
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, bit_indices
 
 
 class TheoremCheckError(RuntimeError):
@@ -46,19 +47,21 @@ class CanonicalData:
     generators: tuple[tuple[int, ...], ...]
 
 
-def _refine(rows, cells):
-    """Equitable refinement of an ordered partition.
+def _refine(nbrs, cells):
+    """Equitable refinement of an ordered partition; ``nbrs[v]`` lists the
+    neighbours of v.
 
-    Cells split by the count vector of neighbours in every current cell;
-    sub-cells are ordered by that vector, which is label-independent.
+    A cell splits by each vertex's key, the indices of its neighbours' cells
+    sorted and negated; sub-cells are ordered by that key.  That orders them
+    as the vectors of neighbour counts per cell would (a larger count in an
+    earlier cell sorts later), which is label-independent, at O(deg) per
+    vertex.
     """
+    cell_of = [0] * len(nbrs)
     while True:
-        masks = []
-        for cell in cells:
-            m = 0
+        for i, cell in enumerate(cells):
             for v in cell:
-                m |= 1 << v
-            masks.append(m)
+                cell_of[v] = -i
         out = []
         changed = False
         for cell in cells:
@@ -67,8 +70,8 @@ def _refine(rows, cells):
                 continue
             buckets = {}
             for v in cell:
-                row = rows[v]
-                key = tuple((row & m).bit_count() for m in masks)
+                key = tuple(sorted(map(cell_of.__getitem__, nbrs[v]),
+                                   reverse=True))
                 buckets.setdefault(key, []).append(v)
             if len(buckets) == 1:
                 out.append(cell)
@@ -79,6 +82,21 @@ def _refine(rows, cells):
         if not changed:
             return out
         cells = out
+
+
+def equitable_partition(rows) -> list[list[int]]:
+    """Equitable refinement of the vertices of a simple graph (adjacency
+    bit rows) by degree, cells in ascending degree order.
+
+    It is the root partition of the canonical search: canonical positions
+    follow its cell order, and :func:`canonical_data` accepts it as the
+    search's start.
+    """
+    by_degree = {}
+    for v, row in enumerate(rows):
+        by_degree.setdefault(row.bit_count(), []).append(v)
+    return _refine(list(map(bit_indices, rows)),
+                   [by_degree[k] for k in sorted(by_degree)])
 
 
 def _encode(n, rows, loops, lab):
@@ -103,7 +121,7 @@ def _encode(n, rows, loops, lab):
     return (cloops, tuple(crows))
 
 
-def _canonical_search(n, rows, loops):
+def _canonical_search(n, rows, loops, cells=None):
     if n == 1:
         lab = (0,)
         enc = _encode(1, rows, loops, lab)
@@ -116,6 +134,7 @@ def _canonical_search(n, rows, loops):
     else:
         start = [list(range(n))]
 
+    nbrs = list(map(bit_indices, rows))
     best: list = [None, None]   # encoding, labeling
     generators: list[tuple[int, ...]] = []
 
@@ -140,7 +159,7 @@ def _canonical_search(n, rows, loops):
         return False
 
     def search(cells, prefix):
-        cells = _refine(rows, cells)
+        """Branch below the equitable partition ``cells``."""
         target = None
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
@@ -173,10 +192,10 @@ def _canonical_search(n, rows, loops):
                 continue
             child = cells[:target] + [[v], [u for u in cell if u != v]] \
                 + cells[target + 1:]
-            search(child, prefix + (v,))
+            search(_refine(nbrs, child), prefix + (v,))
             done.append(v)
 
-    search(start, ())
+    search(_refine(nbrs, start) if cells is None else cells, ())
 
     parent = list(range(n))
 
@@ -195,8 +214,13 @@ def _canonical_search(n, rows, loops):
     return best[1], best[0], orbits, tuple(generators)
 
 
-def canonical_data(g: Graph) -> CanonicalData:
-    lab, enc, orbits, gens = _canonical_search(g.n, list(g.rows), g.loops)
+def canonical_data(g: Graph, cells=None) -> CanonicalData:
+    """Canonical labelling, form, orbits and automorphism generators of g.
+
+    ``cells``, when given, must be :func:`equitable_partition` of the simple
+    graph g; the search then starts from it instead of refining again.
+    """
+    lab, enc, orbits, gens = _canonical_search(g.n, list(g.rows), g.loops, cells)
     cloops, crows = enc
     form = bytes([g.n]) + cloops.to_bytes(8, "little") + b"".join(
         r.to_bytes(8, "little") for r in crows)

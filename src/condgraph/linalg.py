@@ -15,6 +15,14 @@ residues stay below 2**31, so every product of two is below 2**62.  No
 modular result is used before the integer check A X = d I holds, which makes
 X exactly d A^-1; when the check fails the echelon decides.
 
+A stack of matrices of one order, such as a census chunk of graphs, goes
+through :func:`modular_adjugates`: the same Gauss-Jordan, each row operation
+run on the whole stack at once.  It decides only what it can certify: an
+adjugate whose check A X = d I holds, and a singular matrix whose missing
+pivot modulo p is backed by Hadamard's certificate prod_v deg(v) < p**2,
+which bounds |det(A)| by prod_v sqrt(deg(v)) < p.  Every other matrix is left
+to :func:`scaled_inverse`.
+
 Floating point is quarantined to :func:`float_spectrum`, which exists only for
 spectrum-shaped cross-checks (documented tolerance 1e-9 for the eigensolver,
 1e-6 against exact characteristic polynomial roots).
@@ -26,7 +34,7 @@ stated).  That matches the scale of the problem: dense, symmetric, order <= 64.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -259,18 +267,23 @@ def scaled_inverse(a) -> tuple[int, list[list[int]]]:
     From order :data:`MODULAR_MIN_ORDER` on, Gauss-Jordan modulo one prime
     is tried first (:func:`_modular_inverse`); its X has the zero pattern and
     the submatrix ranks of adj(A), and equals it whenever det(A) and every
-    cofactor lie in (-p/2, p/2).  Below that order, or when the modular
-    result fails its check, one Bareiss echelon of [A | I] = [U | R]
-    decides: at full rank, integer back-substitution of U X = d R with
-    d = det(A) gives X = adj(A), every division exact.  A singular A raises
-    :class:`SingularMatrixError` with the kernel basis read from the left
-    block, which is the echelon of A itself.
+    cofactor lie in (-p/2, p/2).  When it returns nothing, A may be singular:
+    the kernel is read from the echelon of A alone, and only an empty kernel
+    (p divides det(A), or the lifted pair failed its check) leads on to the
+    echelon of [A | I].  Below that order the echelon of [A | I] = [U | R]
+    decides at once: at full rank, integer back-substitution of U X = d R
+    with d = det(A) gives X = adj(A), every division exact.  A singular A
+    raises :class:`SingularMatrixError` with the kernel basis, which is that
+    of the left block, the echelon of A itself.
     """
     n = len(a)
     if n >= MODULAR_MIN_ORDER:
         found = _modular_inverse(a)
         if found is not None:
             return found[0], found[1].tolist()
+        kernel = kernel_basis(a)
+        if kernel:
+            raise SingularMatrixError(kernel)
     m, pivots, sign = _echelon([list(row) + [int(i == j) for j in range(n)]
                                 for i, row in enumerate(a)])
     if n and pivots[n - 1][1] >= n:
@@ -291,11 +304,13 @@ def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
     """(d, X) with A X = d I exactly and d != 0, X an int64 array, or None.
 
     Gauss-Jordan on [A | I] modulo p = :data:`MODULUS` gives det(A) and
-    adj(A) modulo p, lifted to (-p/2, p/2); the pair is returned only when
-    the integer product A X equals d I.  None means that p divides det(A)
-    (A singular included) or that the lifted residues are not d A^-1.  A
-    matrix with a row whose absolute sum exceeds 2**31 is refused before
-    anything reaches numpy.
+    adj(A) modulo p; :func:`_lift_and_check` returns the pair only when the
+    integer product A X equals d I.  None means that p divides det(A) (A
+    singular included) or that the lifted residues are not d A^-1.  A matrix
+    with a row whose absolute sum exceeds 2**31 is refused before anything
+    reaches numpy.  Only the rows that hold a nonzero entry in the pivot
+    column are updated, which suits one sparse matrix; a stack of them goes
+    through :func:`modular_adjugates`.
     """
     p = MODULUS
     n = len(a)
@@ -322,13 +337,93 @@ def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
         hit = np.flatnonzero(col)
         if len(hit):
             m[hit] = (m[hit] - np.outer(col[hit], m[c])) % p
-    x = m[:, n:] * d % p
-    x[x > p // 2] -= p
-    if d > p // 2:
-        d -= p
-    if not np.array_equal(ai @ x, d * np.eye(n, dtype=np.int64)):
-        return None
-    return d, x
+    ok, d, x = _lift_and_check(ai, m[:, n:], np.int64(d))
+    return (int(d), x) if ok else None
+
+
+def _lift_and_check(a, inverse, d):
+    """Lift det(A) and adj(A) = d A^-1 from their residues modulo p.
+
+    ``inverse`` holds A^-1 modulo p and ``d`` det(A) modulo p, for one
+    matrix or for a stack of them (leading axes).  Both are lifted into
+    (-p/2, p/2) and checked as d != 0 and A X = d I in int64; that holds
+    exactly when A is invertible and X is d A^-1.  With |X| < p/2 and
+    absolute row sums of A at most 2**31 no product leaves int64.  Returns
+    (ok, d, X).
+    """
+    p = MODULUS
+    x = inverse * d[..., None, None] % p
+    x -= p * (x > p // 2)
+    d = d - p * (d > p // 2)
+    eye = np.eye(a.shape[-1], dtype=np.int64)
+    ok = (d != 0) & (a @ x == d[..., None, None] * eye).all(axis=(-2, -1))
+    return ok, d, x
+
+
+# verdicts of modular_adjugates, one per matrix of the stack
+ADJUGATE, SINGULAR, UNDECIDED = 0, 1, 2
+
+
+def modular_adjugates(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Jordan on [A | I] modulo p for a (B, n, n) stack of integer
+    matrices at once; returns (status, d, X), one entry per matrix.
+
+    * ``ADJUGATE``: d != 0 and A X = d I holds in int64 for the lifted
+      pair, so X = d A^-1 exactly and has the zero pattern of A^-1 (d is
+      det(A), and X adj(A), whenever they lie in (-p/2, p/2)).
+    * ``SINGULAR``: some column has no pivot, so p divides det(A), and
+      Hadamard's certificate prod_i sum_j a_ij**2 < p**2 holds, so
+      |det(A)| < p and det(A) = 0.  For a 0/1 matrix the product is that of
+      the row degrees: every connected graph with n <= 10 and every chemical
+      graph with n <= 39 passes it.
+    * ``UNDECIDED``: a column without pivot and no certificate, a failed
+      check, or a row whose absolute sum exceeds 2**31; the exact route
+      (:func:`scaled_inverse`) decides.
+
+    d and X are meaningful for ``ADJUGATE`` entries only.  Every row
+    operation runs on the whole stack, so one call costs about n numpy
+    passes over B x n x 2n residues; a matrix that loses its pivot keeps
+    going with zeros and is sorted out at the end.
+    """
+    p = MODULUS
+    a = np.asarray(stack, dtype=np.int64)
+    b, n = a.shape[0], a.shape[-1]
+    m = np.zeros((b, n, 2 * n), dtype=np.int64)
+    m[:, :, :n] = a % p
+    m[:, :, n:] = np.eye(n, dtype=np.int64)
+    d = np.ones(b, dtype=np.int64)
+    every = np.arange(b)
+    for c in range(n):
+        r = c + (m[:, c:, c] != 0).argmax(axis=1)  # c itself when no pivot
+        swap = r != c
+        if swap.any():
+            top = m[every, c].copy()
+            m[every, c] = m[every, r]
+            m[every, r] = top
+            d[swap] = -d[swap]
+        pivot = m[:, c, c].copy()
+        d = d * pivot % p
+        # columns left of c are unit vectors with a zero in row c, and
+        # column c is never read again: only columns c+1.. need the update
+        right = m[:, :, c + 1:]
+        # a column's pivots take few distinct values (mostly all 1)
+        values, which = np.unique(pivot, return_inverse=True)
+        inverse = np.array([pow(v, p - 2, p) for v in values.tolist()],
+                           dtype=np.int64)
+        right[:, c] = right[:, c] * inverse[which][:, None] % p
+        col = m[:, :, c].copy()
+        col[:, c] = 0
+        right -= col[:, :, None] * right[:, c, None, :]
+        right %= p
+    # d is the product of the pivots: zero exactly when a column had none
+    ok, d, x = _lift_and_check(a, m[:, :, n:], d)
+    status = np.where(ok, ADJUGATE, UNDECIDED)
+    squares = (a * a).sum(axis=2)
+    for k in np.flatnonzero(d == 0):
+        if prod(squares[k].tolist()) < p * p:
+            status[k] = SINGULAR
+    status[np.abs(a).sum(axis=2).max(axis=1, initial=0) > _MAX_ROW_SUM] = UNDECIDED
+    return status, d, x
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,47 @@ def rational_rref_rank(a) -> int:
     return r
 
 
+def count_vector_refine(rows, cells):
+    """Equitable refinement of an ordered partition of a graph given by
+    adjacency bit rows: cells split by the vector of neighbour counts in
+    every current cell, sub-cells ordered by that vector."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out = []
+        changed = False
+        for cell in cells:
+            buckets = {}
+            for v in cell:
+                key = tuple((rows[v] & m).bit_count() for m in masks)
+                buckets.setdefault(key, []).append(v)
+            changed |= len(buckets) > 1
+            out += [buckets[key] for key in sorted(buckets)]
+        if not changed:
+            return out
+        cells = out
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5,
                  with_loops: bool = False) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     loops = [v for v in range(n) if with_loops and rng.random() < 0.3]
     return Graph.from_edges(n, edges, loops)
+
+
+def prism(k: int) -> Graph:
+    """The prism C_k x K2, a cubic graph of order 2k."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    return Graph.from_edges(2 * k, edges + [(i, k + i) for i in range(k)])
+
+
+def cubic_with_twins(order: int) -> Graph:
+    """A connected cubic graph of even order >= 12 with two vertices that
+    share their neighbours, so singular: the prism over C_k, k = (order -
+    6) / 2, with the rung 0 - k replaced by K_{3,3} minus an edge."""
+    k = (order - 6) // 2
+    edges = [e for e in prism(k).edges() if e != (0, k)]
+    xs, ys = range(2 * k, 2 * k + 3), range(2 * k + 3, 2 * k + 6)
+    edges += [(x, y) for x in xs for y in ys if (x, y) != (xs[0], ys[0])]
+    return Graph.from_edges(order, edges + [(0, xs[0]), (k, ys[0])])

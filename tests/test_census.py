@@ -16,7 +16,7 @@ from condgraph.classify import classification_report
 from condgraph.conduction import conduction_graph, graph_nullity
 from condgraph.fixtures import fixture
 from condgraph.graphs import Graph, from_graph6, to_graph6
-from condgraph.isomorphism import canonical_form
+from condgraph.isomorphism import canonical_data, canonical_form
 
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -62,6 +62,17 @@ def test_enumeration_streams_are_pinned():
     assert _stream_digest(enumerate_connected(7)) == PINNED["connected", 7]
     assert _stream_digest(enumerate_chemical(10)) == PINNED["chemical", 10]
     assert _stream_digest(enumerate_chemical(12, regular=3)) == "4f738f6e3215b235"
+
+
+def test_canonical_csv_keys_are_pinned():
+    # the census CSV keys a graph by the graph6 of its canonical relabelling;
+    # a change to canonical labelling that moved them would mix old and new
+    # keys in a resumed store
+    for graphs, digest in ((enumerate_connected(7), "f2b600438ef2244a"),
+                           (enumerate_chemical(10), "3a85e2c71f1cfa24")):
+        keys = sorted(to_graph6(g.relabel(canonical_data(g).labeling)) + "\n"
+                      for g in graphs)
+        assert hashlib.sha256("".join(keys).encode()).hexdigest()[:16] == digest
 
 
 def test_enumerate_range_errors():
@@ -300,6 +311,23 @@ def test_sharded_census_enumerates_about_once(tmp_path, monkeypatch):
     summary = run_census_persistent("chemical", 10, tmp_path, shards=4)
     assert summary.row(10) == (1733, 3, 1)
     assert calls[0] <= 2 * once
+
+
+def test_census_source_keeps_the_labellings_of_its_split_order(monkeypatch):
+    # the nodes at order n - 1 carry the canonical data their acceptance
+    # computed into their subtrees, as in one enumeration
+    calls = [0]
+    real = census.canonical_data
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(census, "canonical_data", counted)
+    assert sum(1 for _ in enumerate_chemical(12)) == 19430
+    once, calls[0] = calls[0], 0
+    assert sum(1 for _ in census_source("chemical", 12, None)) == 19430
+    assert calls[0] <= once
 
 
 def test_sharded_ingest_parses_each_line_once(tmp_path, monkeypatch):

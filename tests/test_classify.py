@@ -5,18 +5,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import random
+
 import pytest
 
 import condgraph
+from condgraph import classify, linalg
+from condgraph.census import enumerate_chemical
 from condgraph.classify import (class_code, classification_report,
-                                conduction_isomorphism, cubic_degree_theorem_check,
+                                conduction_isomorphism, conduction_isomorphisms,
+                                cubic_degree_theorem_check,
                                 is_conduction_isomorphic, is_ipso_omni_insulator,
                                 is_nut, is_uniform_core_graph)
-from condgraph.conduction import conduction_graph
+from condgraph.conduction import conduction_graph, inverse_conduction_pattern
 from condgraph.fixtures import fixture
 from condgraph.graphs import (Graph, bipartition, complete_bipartite_graph,
-                              complete_graph, cycle_graph, path_graph)
+                              complete_graph, cycle_graph, is_connected, path_graph)
 from condgraph.isomorphism import are_isomorphic
+
+from conftest import cubic_with_twins
 
 
 def test_ipso_omni_insulator_examples():
@@ -90,6 +97,60 @@ def test_conduction_isomorphic_examples():
     for u, v in path_graph(4).edges():
         assert cg.has_edge(witness[u], witness[v])
     assert conduction_isomorphism(cycle_graph(4)) is None
+
+
+def _exact_conduction_isomorphism(g):
+    """The per-graph route: one exact scaled inverse, then the screens."""
+    if not g.is_simple() or not is_connected(g):
+        return None
+    try:
+        rows, loops = inverse_conduction_pattern(g)
+    except linalg.SingularMatrixError:
+        return None
+    return classify._isomorphism_onto(g, rows, loops)
+
+
+@pytest.fixture(scope="module")
+def screened(connected_upto_7):
+    """Chunks to screen with their per-graph verdicts: every connected graph
+    with n <= 7 and chemical graph with n <= 10, one chunk per class, and
+    one chunk of mixed orders in shuffled order with a disconnected and a
+    looped graph among them."""
+    chunks = [connected_upto_7[n] for n in range(1, 8)]
+    chunks += [list(enumerate_chemical(n)) for n in range(1, 11)]
+    mixed = [g for graphs in chunks for g in graphs[::9]]
+    mixed += [Graph.from_edges(4, [(0, 1), (2, 3)]),
+              Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], loops=[1])]
+    random.Random(11).shuffle(mixed)
+    chunks.append(mixed)
+    return [(graphs, [_exact_conduction_isomorphism(g) for g in graphs])
+            for graphs in chunks]
+
+
+@pytest.mark.parametrize("modulus", [linalg.MODULUS, 5, 3])
+def test_batched_screen_matches_the_exact_route(screened, modulus, monkeypatch):
+    # verdicts and witnesses, also with a prime so small that most checks
+    # and certificates fail and the exact route decides
+    monkeypatch.setattr(linalg, "MODULUS", modulus)
+    for graphs, expected in screened:
+        assert conduction_isomorphisms(graphs) == expected
+    # the census positives: 6 connected with n <= 7, 12 chemical with n <= 10
+    assert [sum(w is not None for w in expected)
+            for _, expected in screened[:-1]] == [0, 1, 0, 1, 0, 4, 0] \
+        + [0, 1, 0, 1, 0, 3, 0, 5, 0, 3]
+
+
+def test_batched_screen_leaves_an_uncertified_singular_graph_to_the_exact_route(
+        monkeypatch):
+    # singular cubic graphs of order 38 (3**38 < p**2) and 40 (3**40 > p**2);
+    # only the second reaches the exact route
+    calls = []
+    real = classify.inverse_conduction_pattern
+    monkeypatch.setattr(classify, "inverse_conduction_pattern",
+                        lambda g: calls.append(g.n) or real(g))
+    graphs = [cubic_with_twins(38), cubic_with_twins(40)]
+    assert conduction_isomorphisms(graphs) == [None, None]
+    assert calls == [40]
 
 
 def test_conduction_isomorphic_implies_chain(connected_upto_7):

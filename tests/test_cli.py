@@ -77,6 +77,19 @@ def test_census_subcommand(capsys):
     assert code == 2 and out == "" and "1..10" in err
 
 
+def test_census_under_optimisation():
+    # the batched screen decides without asserts: python -O prints the same
+    # census row
+    src = str(Path(condgraph.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "condgraph.cli", "census",
+                           "--mode", "connected", "--n", "6"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "6,112,4,2\n"
+
+
 def test_census_ingest_and_persistent(capsys, tmp_path):
     src = tmp_path / "graphs.g6"
     src.write_text("Ch\nCl\nbroken)(\n")

@@ -13,7 +13,8 @@ from condgraph.isomorphism import (TheoremCheckError, are_isomorphic,
                                    canonical_form, canonical_labeling,
                                    find_isomorphism)
 
-from conftest import brute_force_isomorphic, brute_force_orbits, random_graph
+from conftest import (brute_force_isomorphic, brute_force_orbits,
+                      count_vector_refine, random_graph)
 
 
 def test_canonical_form_invariant_under_relabeling(rng):
@@ -139,3 +140,33 @@ def test_failed_witness_raises_theorem_check_error(monkeypatch):
     monkeypatch.setattr(isomorphism, "verify_witness", lambda g1, g2, h: False)
     with pytest.raises(TheoremCheckError, match="invalid witness"):
         find_isomorphism(path_graph(4), path_graph(4))
+
+
+def _random_ordered_partition(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    return [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+
+
+def test_refine_matches_the_count_vector_reference(connected_upto_7, rng):
+    # the neighbour-cell keys split and order cells as the count vectors do,
+    # from the unit partition and from arbitrary ordered partitions
+    for n in range(1, 8):
+        for g in connected_upto_7[n]:
+            rows = list(g.rows)
+            nbrs = [g.neighbors(v) for v in range(n)]
+            starts = [[list(range(n))]]
+            starts += [_random_ordered_partition(rng, n) for _ in range(3)]
+            for cells in starts:
+                assert isomorphism._refine(nbrs, cells) \
+                    == count_vector_refine(rows, cells), (g, cells)
+            assert isomorphism.equitable_partition(rows) \
+                == count_vector_refine(rows, [list(range(n))])
+
+
+def test_search_from_the_equitable_partition_labels_as_from_scratch(connected_upto_7):
+    for n in range(1, 8):
+        for g in connected_upto_7[n]:
+            cells = isomorphism.equitable_partition(list(g.rows))
+            assert canonical_data(g, cells) == canonical_data(g)

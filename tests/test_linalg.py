@@ -18,7 +18,8 @@ from condgraph.linalg import (MODULUS, IntPolynomial, SingularMatrixError,
                               float_spectrum, inverse, kernel_basis, nullity,
                               rank, scaled_inverse, zero_root_multiplicity)
 
-from conftest import cofactor_adjugate, rational_rref_rank
+from conftest import (cofactor_adjugate, cubic_with_twins, prism,
+                      rational_rref_rank)
 
 
 def A(g):
@@ -345,6 +346,97 @@ def test_scaled_inverse_keeps_overflowing_input_from_numpy(monkeypatch):
     _assert_singular([row[:] for _ in range(5)])
     assert modular([]) is None
     assert scaled_inverse([]) == (1, [])
+
+
+def test_modular_adjugates_match_the_exact_route(connected_upto_7):
+    # every connected graph with n <= 7 and chemical graph with n <= 10, one
+    # stack per order: verified pairs are scaled_inverse's, and every
+    # singular graph is certified (prod deg < p**2 for all of them)
+    classes = [connected_upto_7[n] for n in range(1, 8)]
+    classes += [list(enumerate_chemical(n)) for n in range(1, 11)]
+    for graphs in classes:
+        stack = np.array([A(g) for g in graphs], dtype=np.int64)
+        status, d, x = linalg.modular_adjugates(stack)
+        for k, g in enumerate(graphs):
+            a = A(g)
+            if rank(a) < g.n:
+                assert status[k] == linalg.SINGULAR, g
+            else:
+                assert status[k] == linalg.ADJUGATE, g
+                assert (int(d[k]), x[k].tolist()) == scaled_inverse(a), g
+
+
+def test_hadamard_certificate_bounds_the_singular_verdict():
+    # two singular cubic graphs either side of the certificate: the product
+    # of the degrees is 3**38 < p**2 for one and 3**40 > p**2 for the other
+    assert 3 ** 38 < MODULUS ** 2 < 3 ** 40
+    for order, verdict in ((38, linalg.SINGULAR), (40, linalg.UNDECIDED)):
+        a = A(cubic_with_twins(order))
+        assert all(sum(row) == 3 for row in a) and rank(a) < order
+        status, _, _ = linalg.modular_adjugates(np.array([a]))
+        assert status.tolist() == [verdict]
+    # their nonsingular prism neighbours are verified either way
+    for k in (19, 20):
+        a = A(prism(k))
+        status, d, x = linalg.modular_adjugates(np.array([a]))
+        assert status.tolist() == [linalg.ADJUGATE]
+        assert (int(d[0]), x[0].tolist()) == scaled_inverse(a)
+
+
+def test_modular_adjugates_leave_what_they_cannot_decide():
+    # det = p and a cofactor beyond p/2 (see the single-matrix test above),
+    # and a row too heavy for int64 products, in one stack with a good one
+    stack = np.array([[[MODULUS, 0, 0], [0, 1, 0], [0, 0, 1]],
+                      [[1 << 30, 0, 0], [0, 3, 0], [0, 0, 1]],
+                      [[1 << 32, 0, 0], [0, 1, 0], [0, 0, 1]],
+                      [[0, 1, 0], [1, 0, 1], [0, 1, 1]]])
+    status, d, x = linalg.modular_adjugates(stack)
+    assert status.tolist() == [linalg.UNDECIDED] * 3 + [linalg.ADJUGATE]
+    assert (int(d[3]), x[3].tolist()) == (det(stack[3].tolist()),
+                                          adjugate(stack[3].tolist()))
+
+
+def test_small_modulus_keeps_the_modular_verdicts_exact(connected_upto_7,
+                                                        monkeypatch):
+    # with p = 3 or 5 most checks fail and most certificates do not hold;
+    # what is still decided agrees with the exact route
+    for p in (3, 5):
+        monkeypatch.setattr(linalg, "MODULUS", p)
+        seen = set()
+        for n in range(1, 8):
+            stack = np.array([A(g) for g in connected_upto_7[n]], dtype=np.int64)
+            status, d, x = linalg.modular_adjugates(stack)
+            for k, g in enumerate(connected_upto_7[n]):
+                a = A(g)
+                seen.add(int(status[k]))
+                if status[k] == linalg.SINGULAR:
+                    assert rank(a) < g.n
+                elif status[k] == linalg.ADJUGATE:
+                    dk, xk = int(d[k]), x[k].tolist()
+                    assert dk and mat_mul(a, xk) == [[dk * (i == j) for j in range(n)]
+                                                     for i in range(n)]
+        assert seen == {linalg.ADJUGATE, linalg.SINGULAR, linalg.UNDECIDED}
+
+
+def test_singular_matrix_of_modular_order_skips_the_augmented_echelon(monkeypatch):
+    # from MODULAR_MIN_ORDER on, a matrix without a pivot modulo p gets its
+    # kernel from the echelon of A alone, the kernel that the echelon of
+    # [A | I] gave
+    real = linalg._echelon
+    widths = []
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda a: widths.append(len(a[0])) or real(a))
+    for g in (cycle_graph(40), path_graph(41), cycle_graph(16), path_graph(17),
+              cubic_with_twins(38), cubic_with_twins(40)):
+        a = A(g)
+        assert len(a) >= linalg.MODULAR_MIN_ORDER
+        m, pivots, _ = real([row + [int(i == j) for j in range(len(a))]
+                             for i, row in enumerate(a)])
+        widths.clear()
+        with pytest.raises(SingularMatrixError) as err:
+            scaled_inverse(a)
+        assert err.value.kernel == linalg._kernel(m, pivots, len(a))
+        assert widths == [len(a)]
 
 
 # ---------------------------------------------------------------------------
