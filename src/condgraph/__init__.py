@@ -14,17 +14,15 @@ from .graphs import (Graph, Graph6Error, adjacency_matrix, bipartition,
                      degree_sequence, from_graph6, graph_from_adjacency,
                      is_bipartite, is_chemical, is_connected, path_graph,
                      star_graph, to_graph6)
-from .linalg import (IntPolynomial, SingularMatrixError, adjugate, char_poly,
-                     det, float_spectrum, inverse, kernel_basis, nullity,
-                     zero_root_multiplicity)
+from .linalg import (IntPolynomial, SingularMatrixError, char_poly, det,
+                     float_spectrum, kernel_basis, nullity)
 from .conduction import (ConductionGraph, DeviceVerdict, NullitySignature,
                          Rule, booleanise, conduction_graph, device_verdict,
                          graph_nullity, nullity_signature)
 from .classify import (ClassCode, ClassificationReport, TheoremCheckError,
                        class_code, classification_report,
-                       conduction_isomorphism, cubic_degree_theorem_check,
-                       is_conduction_isomorphic, is_ipso_omni_insulator, is_nut,
-                       is_uniform_core_graph)
+                       conduction_isomorphism, is_conduction_isomorphic,
+                       is_ipso_omni_insulator, is_nut, is_uniform_core_graph)
 from .isomorphism import (CanonicalData, are_isomorphic, automorphism_orbits,
                           canonical_form, canonical_labeling, find_isomorphism,
                           verify_witness)

@@ -554,11 +554,14 @@ def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
     files are byte-stable across reruns.  Shards that an earlier run
     completed contribute the totals stored in the manifest.  Each shard run
     reports its own lines' problems to ``on_error`` (line number, message).
-    Bad arguments (see :func:`census_source`, checked before the store is
-    touched), a store made with another mode, order, shard count, split or
-    ``record_all``, or a completed shard whose CSV rows fail their checksum
-    raise ValueError.
+    At most ``jobs`` worker processes run, and no more than there are
+    shards left to run.  Bad arguments (see :func:`census_source`, and
+    ``jobs`` < 1; checked before the store is touched), a store made with
+    another mode, order, shard count, split or ``record_all``, or a
+    completed shard whose CSV rows fail their checksum raise ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     census_source(mode, n, source_path, shards=shards)  # checks the arguments only
     store = CensusStore(outdir, n)
     done = store.begin(f"mode={mode},n={'ingest' if n is None else n},"
@@ -579,7 +582,7 @@ def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
 
     if jobs > 1 and len(args) > 1:
         import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(args))) as pool:
             for result in pool.imap(_shard_job, args):
                 finish(*result)
     else:

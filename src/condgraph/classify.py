@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .conduction import (ConductionGraph, _sub_nullity, conduction_graph,
-                         graph_nullity, inverse_conduction_pattern)
+from .conduction import (ConductionGraph, conduction_graph,
+                         inverse_conduction_pattern)
 from .graphs import Graph, adjacency_matrix, bfs_distances, is_bipartite, is_connected
 # TheoremCheckError and check_theorem live in isomorphism, which verifies
 # witnesses with them; they stay importable from here
@@ -50,28 +50,30 @@ def is_nut(g: Graph, include_trivial: bool = False) -> bool:
 
 def is_uniform_core_graph(g: Graph) -> bool:
     """All vertices core and every distinct device drops both single-deletion
-    nullities by one and the double deletion by two.
+    nullities by one and the double deletion by two, read from the analysis
+    that builds the conduction graph (a connected simple graph, as there).
 
     Such graphs have a conduction graph of isolated looped vertices; that
     consequence is checked whenever the predicate holds.
     """
-    eta = graph_nullity(g)
-    if eta < 2:
-        return False
-    for v in range(g.n):
-        if _sub_nullity(g, 1 << v) != eta - 1:
-            return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if _sub_nullity(g, 1 << u | 1 << v) != eta - 2:
-                return False
-    _check_ucg_conduction(g, conduction_graph(g))
-    return True
+    return _core(g, conduction_graph(g))[1]
 
 
-def _check_ucg_conduction(g: Graph, cg: ConductionGraph):
-    check_theorem(cg.graph.loops == (1 << g.n) - 1 and cg.graph.edge_count() == 0,
-                  "uniform core graph without the nK1-loop conduction graph")
+def _core(g: Graph, cg: ConductionGraph) -> tuple[bool, bool]:
+    """(all core, uniform core graph) from the bordered adjugate that built
+    cg; all core means every single deletion drops the nullity (no zero
+    border row)."""
+    eta = cg.nullity
+    all_core = eta > 0 and all(cg.analysis.nullity(v) == eta - 1
+                               for v in range(g.n))
+    is_ucg = all_core and eta >= 2 and all(
+        cg.analysis.nullity(u, v) == eta - 2
+        for u in range(g.n) for v in range(u + 1, g.n))
+    if is_ucg:
+        check_theorem(cg.graph.loops == (1 << g.n) - 1
+                      and cg.graph.edge_count() == 0,
+                      "uniform core graph without the nK1-loop conduction graph")
+    return all_core, is_ucg
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +218,6 @@ def is_conduction_isomorphic(g: Graph) -> bool:
     return conduction_isomorphism(g) is not None
 
 
-def cubic_degree_theorem_check(g: Graph) -> bool:
-    """Every conduction-graph vertex of a nonsingular cubic graph should have
-    at least 4 neighbours; False would contradict the theorem.
-
-    A looped vertex counts as its own neighbour, matching the nonzero count
-    of the inverse column the theorem argues about.
-    """
-    if not g.is_simple() or not is_connected(g):
-        raise ValueError("expected a connected simple graph")
-    if any(r.bit_count() != 3 for r in g.rows):
-        raise ValueError("expected a 3-regular graph")
-    rows, loops = inverse_conduction_pattern(g)  # raises if singular
-    return all(r.bit_count() + (loops >> v & 1) >= 4
-               for v, r in enumerate(rows))
-
-
 # ---------------------------------------------------------------------------
 # one-stop report
 # ---------------------------------------------------------------------------
@@ -264,14 +250,7 @@ def classification_report(g: Graph) -> ClassificationReport:
         check_theorem(all(g.degree(v) == cg.graph.degree(witness[v])
                           for v in range(g.n)),
                       "conduction-isomorphism witness changes degrees")
-    # all core: every single deletion drops the nullity (no zero border row)
-    all_core = eta > 0 and all(cg.analysis.nullity(v) == eta - 1
-                               for v in range(g.n))
-    is_ucg = all_core and eta >= 2 and all(
-        cg.analysis.nullity(u, v) == eta - 2
-        for u in range(g.n) for v in range(u + 1, g.n))
-    if is_ucg:
-        _check_ucg_conduction(g, cg)
+    all_core, is_ucg = _core(g, cg)
     return ClassificationReport(
         nullity=eta,
         is_ipso_omni_insulator=loopless,

@@ -171,8 +171,6 @@ def _cmd_iso(args) -> int:
 def _cmd_transmit(args) -> int:
     try:  # a bad graph6 string is a ValueError too
         g = from_graph6(args.graph)
-        if not (0 <= args.left < g.n and 0 <= args.right < g.n):
-            raise ValueError("contact vertices out of range")
         dp = transmission.device_polynomials(g, args.left, args.right)
         curve = transmission.sweep(dp, args.beta_sq, args.e_min, args.e_max,
                                    args.steps)

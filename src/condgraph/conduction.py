@@ -5,32 +5,37 @@ devices).  Whether it conducts at the Fermi level is decided by interlacing
 selection rules keyed on the nullity signature, the quadruple of kernel
 dimensions of the graph and its one- and two-vertex deletions.  Exactly one
 signature, all four nullities equal, is not settled by the table; there the
-verdict is decided exactly through the square numerator polynomial of the
-transmission function: the device conducts if and only if the zero-root count
-of u*t - s*v equals twice the graph's nullity.
+device conducts if and only if the (u, v) entry of the Moore-Penrose inverse
+is nonzero.  That is the paper's test on the square numerator u*t - s*v of
+the transmission (its zero-root count equals twice the graph's nullity),
+read off one matrix; the tests check the two against each other.
+
+Every answer about a graph comes from one analysis, :func:`analyse`: a
+:class:`BorderedAdjugate`, the scaled inverse d A^-1 of a nonsingular
+adjacency matrix, or of the matrix bordered by its exact kernel basis
+otherwise.  By the nullity theorem it gives every nullity of a one- or
+two-vertex deletion and every equal-nullity verdict, so
+:func:`nullity_signature`, :func:`device_verdict` and
+:func:`conduction_graph` eliminate no deleted subgraph.
 
 The conduction graph collects every verdict: an edge per conducting distinct
-device, a loop per conducting single contact.  It is built by one of two
-routes, chosen by the nullity:
+device, a loop per conducting single contact.  It is read from the analysis
+by one of two routes, chosen by the nullity:
 
-* nullity 0: booleanise the inverse (equivalently, the adjugate or any
-  nonzero multiple of it, which shares its zero pattern and never leaves the
-  integers);
-* any other nullity: walk every device through the selection rules, reading
-  every nullity and every equal-nullity verdict from one bordered adjugate
-  (:class:`BorderedAdjugate`).  The walk skips the double deletion wherever
-  the single-deletion shifts already fix the row; in a nullity-1 graph that
+* nullity 0: booleanise the scaled inverse (it shares the inverse's zero
+  pattern and never leaves the integers);
+* any other nullity: walk every device through the selection rules over the
+  bordered adjugate.  The walk skips the double deletion wherever the
+  single-deletion shifts already fix the row; in a nullity-1 graph that
   yields the block structure around the core vertices (a looped clique with
   no edges to the rest) directly.
 
-Both routes start from :func:`linalg.scaled_inverse` of the adjacency matrix,
-which returns a scaled inverse or raises :class:`SingularMatrixError` with
-the exact kernel basis that borders the matrix; it alone chooses between its
-modular and exact routes.
-
-The same walk over nullities of explicitly deleted subgraphs and the
-polynomial j-test, :func:`_conduction_by_rules`, is kept as the independent
-reference the tests compare against.
+The analysis starts from :func:`linalg.scaled_inverse` of the adjacency
+matrix, which returns a scaled inverse or raises
+:class:`SingularMatrixError` with the exact kernel basis that borders the
+matrix; it alone chooses between its modular and exact routes.  The tests
+compare all of this with an independent reference in ``tests/conftest.py``:
+nullities of explicitly eliminated deletions and the polynomial j-test.
 """
 
 from __future__ import annotations
@@ -168,7 +173,7 @@ def booleanise(m) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# nullity helpers on vertex-deleted subgraphs
+# vertex-deleted subgraphs (the transmission polynomials)
 # ---------------------------------------------------------------------------
 
 def _sub_matrix(g: Graph, dropped: int) -> list[list[int]]:
@@ -177,21 +182,12 @@ def _sub_matrix(g: Graph, dropped: int) -> list[list[int]]:
     return [[(g.rows[v] >> u) & 1 for u in keep] for v in keep]
 
 
-def _sub_nullity(g: Graph, dropped: int) -> int:
-    """Nullity of the adjacency matrix of g minus the vertices in ``dropped``.
-
-    The empty graph has nullity 0 (rank of a 0x0 matrix is 0).
-    """
-    m = _sub_matrix(g, dropped)
-    return len(m) - linalg.rank(m)
-
-
 def _sub_char_poly(g: Graph, dropped: int) -> IntPolynomial:
     return linalg.char_poly(_sub_matrix(g, dropped))
 
 
 def graph_nullity(g: Graph) -> int:
-    return _sub_nullity(g, 0)
+    return linalg.nullity(adjacency_matrix(g))
 
 
 # ---------------------------------------------------------------------------
@@ -200,36 +196,15 @@ def graph_nullity(g: Graph) -> int:
 
 def nullity_signature(g: Graph, u: int, v: int) -> NullitySignature:
     """Exact nullity signature of the device (g, u, v); u == v means ipso."""
-    eta = _sub_nullity(g, 0)
-    eta_u = _sub_nullity(g, 1 << u)
+    return _signature(analyse(g, u, v), u, v)
+
+
+def _signature(analysis: BorderedAdjugate, u: int, v: int) -> NullitySignature:
+    eta_u = analysis.nullity(u)
     if u == v:
-        return NullitySignature(eta, eta_u, eta_u, None)
-    eta_v = _sub_nullity(g, 1 << v)
-    eta_uv = _sub_nullity(g, 1 << u | 1 << v)
-    return NullitySignature(eta, eta_u, eta_v, eta_uv)
-
-
-def _make_jtester(g: Graph, eta: int):
-    """Equal-nullity resolver with lazy per-graph polynomial caching.
-
-    The device conducts iff the forced zero roots of u*t - s*v are not
-    exceeded, i.e. their count equals twice the graph's nullity.
-    """
-    cache = {}
-
-    def poly(dropped):
-        if dropped not in cache:
-            cache[dropped] = _sub_char_poly(g, dropped)
-        return cache[dropped]
-
-    def jtest(u, v):
-        p = poly(1 << v) * poly(1 << u) - poly(0) * _sub_char_poly(
-            g, 1 << u | 1 << v)
-        if p.is_zero():
-            return False
-        return p.trailing_zero_count() == 2 * eta
-
-    return jtest
+        return NullitySignature(analysis.eta, eta_u, eta_u, None)
+    return NullitySignature(analysis.eta, eta_u, analysis.nullity(v),
+                            analysis.nullity(u, v))
 
 
 def _verdict_from_signature(u, v, sig: NullitySignature, jtest) -> DeviceVerdict:
@@ -251,31 +226,34 @@ def _verdict_from_signature(u, v, sig: NullitySignature, jtest) -> DeviceVerdict
 
 def device_verdict(g: Graph, u: int, v: int) -> DeviceVerdict:
     """Conducts/insulates at the Fermi level, with the rule that decided it."""
-    _require_simple_connected(g)
-    sig = nullity_signature(g, u, v)
-    return _verdict_from_signature(u, v, sig, _make_jtester(g, sig.eta_g))
+    analysis = analyse(g, u, v)
+    return _verdict_from_signature(u, v, _signature(analysis, u, v),
+                                   analysis.conducts)
 
 
-def _require_simple_connected(g: Graph):
+def _require_device(g: Graph, *contacts: int):
     if not g.is_simple():
         raise ValueError("device graphs must be simple (no loops)")
     if not is_connected(g):
         raise ValueError("device graphs must be connected")
+    if not all(0 <= c < g.n for c in contacts):
+        raise ValueError("contact vertices out of range")
 
 
 # ---------------------------------------------------------------------------
-# the bordered adjugate of a singular graph
+# the analysis of a graph: its bordered adjugate
 # ---------------------------------------------------------------------------
 
 class BorderedAdjugate:
-    """Every deletion nullity and equal-nullity verdict of a singular graph,
-    read from one integer matrix.
+    """Every deletion nullity and equal-nullity verdict of a graph, read
+    from one integer matrix.
 
     With Z an exact kernel basis of the adjacency matrix A (eta = nullity
     columns), M = [[A, Z], [Z^T, 0]] is nonsingular and
     M^-1 = [[A+, W], [W^T, 0]], where A+ is the Moore-Penrose inverse and
     W = Z (Z^T Z)^-1.  Only adj(M) = det(M) M^-1 is kept: an integer matrix
-    with the same zero pattern and ranks as M^-1.
+    with the same zero pattern and ranks as M^-1.  A nonsingular A has an
+    empty border: M = A and A+ = A^-1.
 
     By the nullity theorem (Fiedler & Markham, Linear Algebra Appl. 74,
     1986) the nullity of A without the vertices S equals |S| + eta minus the
@@ -288,7 +266,7 @@ class BorderedAdjugate:
     multiple of adj(M) gives the same answers; ``adj`` is the X of
     :func:`linalg.scaled_inverse`, d M^-1 with d != 0.  ``kernel`` is the
     kernel basis of A, as :class:`~condgraph.linalg.SingularMatrixError`
-    carries it.
+    carries it; with an empty ``kernel`` a singular A raises that error.
     """
 
     __slots__ = ("n", "adj")
@@ -335,27 +313,37 @@ class BorderedAdjugate:
         return self.adj[u][v] != 0
 
 
+def analyse(g: Graph, *contacts: int) -> BorderedAdjugate:
+    """The analysis every verdict on a connected simple graph reads: d A^-1
+    when A is nonsingular, else the adjugate of A bordered by the kernel
+    basis that :func:`linalg.scaled_inverse` raised with.  ``contacts``, if
+    given, must be vertices of g."""
+    _require_device(g, *contacts)
+    a = adjacency_matrix(g)
+    try:
+        return BorderedAdjugate(a, [])
+    except SingularMatrixError as exc:
+        return BorderedAdjugate(a, exc.kernel)
+
+
 # ---------------------------------------------------------------------------
 # whole-graph construction
 # ---------------------------------------------------------------------------
 
 def conduction_graph(g: Graph) -> ConductionGraph:
-    """Conduction graph of a connected simple graph.
+    """Conduction graph of a connected simple graph, read from its analysis.
 
     A nonsingular graph booleanises its scaled inverse; a singular one walks
-    the selection rules over the bordered adjugate built from the kernel
-    basis that :func:`linalg.scaled_inverse` raised with.  Both routes agree
-    with :func:`_conduction_by_rules` and :func:`device_verdict` on every
-    device (tested exhaustively on small orders).
+    the selection rules over its bordered adjugate.  Both routes agree with
+    the tests' reference, direct deletions and the polynomial j-test, on
+    every device (tested exhaustively on small orders).
     """
-    _require_simple_connected(g)
-    try:
-        rows, loops = inverse_conduction_pattern(g)
-    except SingularMatrixError as exc:
-        analysis = BorderedAdjugate(adjacency_matrix(g), exc.kernel)
+    analysis = analyse(g)
+    if analysis.eta:
         graph, verdicts = _walk(g.n, analysis.eta, analysis.nullity,
                                 analysis.conducts)
         return ConductionGraph(graph, verdicts, analysis.eta, analysis)
+    rows, loops = _pattern(analysis.adj)
     verdicts = {}
     for u in range(g.n):
         row = rows[u]
@@ -367,22 +355,12 @@ def conduction_graph(g: Graph) -> ConductionGraph:
     return ConductionGraph(Graph(g.n, rows, loops), verdicts, 0)
 
 
-def _conduction_by_rules(g: Graph) -> ConductionGraph:
-    """The walk over directly eliminated deletions and the polynomial
-    j-test; the reference the bordered-adjugate route is tested against."""
-    eta = graph_nullity(g)
-    graph, verdicts = _walk(
-        g.n, eta, lambda *deleted: _sub_nullity(g, sum(1 << v for v in deleted)),
-        _make_jtester(g, eta))
-    return ConductionGraph(graph, verdicts, eta)
-
-
 # single-deletion shifts (sorted descending) that fit exactly one table row
 _FORCED_ROW = {(1, -1): (1, -1, 0), (0, -1): (0, -1, -1)}
 
 
 def _walk(n: int, eta: int, nullity, jtest) -> tuple[Graph, dict]:
-    """Every device of a singular graph through the selection rules.
+    """Every device of a graph through the selection rules.
 
     ``nullity(*deleted)`` gives eta(G - deleted) for one or two vertices and
     ``jtest(u, v)`` decides an equal-nullity device.  eta(G-u-v) is asked
@@ -428,13 +406,19 @@ def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
     inverse's, so the whole computation stays in the integers.  A singular
     graph raises :class:`~condgraph.linalg.SingularMatrixError`.
     """
-    x = linalg.scaled_inverse(adjacency_matrix(g))[1]
-    rows = [0] * g.n
+    return _pattern(linalg.scaled_inverse(adjacency_matrix(g))[1])
+
+
+def _pattern(x) -> tuple[list[int], int]:
+    """Adjacency rows and loop mask of the nonzero pattern of a symmetric
+    matrix."""
+    n = len(x)
+    rows = [0] * n
     loops = 0
-    for i in range(g.n):
+    for i in range(n):
         if x[i][i]:
             loops |= 1 << i
-        for j in range(i + 1, g.n):
+        for j in range(i + 1, n):
             if x[i][j]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i

@@ -1,12 +1,14 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything that decides conduction is computed here without floating point.
 One fraction-free (Bareiss) elimination, :func:`_echelon`, serves every
 production answer: determinants, ranks, nullities and kernel bases (integer
 back-substitution, every division exact) from the echelon of A, and adj(A)
 or the kernel from the echelon of [A | I] in :func:`scaled_inverse`.  Integer
-characteristic polynomials come from the Faddeev-LeVerrier recurrence; its
-:func:`adjugate` and the `fractions.Fraction` :func:`inverse` are references.
+characteristic polynomials come from the Faddeev-LeVerrier recurrence, for
+the transmission polynomials; only the tests read the adjugate it yields as
+well.  The `fractions.Fraction` inverse the tests compare against lives in
+``tests/conftest.py``.
 
 :func:`scaled_inverse` alone chooses the route to an adjugate.  From order
 :data:`MODULAR_MIN_ORDER` on it first tries Gauss-Jordan modulo the prime
@@ -27,14 +29,13 @@ Floating point is quarantined to :func:`float_spectrum`, which exists only for
 spectrum-shaped cross-checks (documented tolerance 1e-9 for the eigensolver,
 1e-6 against exact characteristic polynomial roots).
 
-Matrices are plain lists of rows; rows are lists of ints (or Fractions where
-stated).  That matches the scale of the problem: dense, symmetric, order <= 64.
+Matrices are plain lists of rows; rows are lists of ints.  That matches the
+scale of the problem: dense, symmetric, order <= 64.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -157,37 +158,6 @@ def _kernel(m, pivots, n: int) -> list[list[int]]:
     return basis
 
 
-def inverse(a) -> list[list[Fraction]]:
-    """Exact inverse of a square integer or rational matrix; a test reference.
-
-    A singular matrix raises :class:`SingularMatrixError` carrying its
-    kernel basis.
-    """
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        p = None
-        for r in range(c, n):
-            if m[r][c]:
-                p = r
-                break
-        if p is None:
-            # the kernel of a rational matrix is that of an integer multiple
-            scale = lcm(*(Fraction(x).denominator for row in a for x in row))
-            raise SingularMatrixError(
-                kernel_basis([[int(x * scale) for x in row] for row in a]))
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n:] for row in m]
-
-
 # ---------------------------------------------------------------------------
 # integer characteristic polynomial and adjugate (Faddeev-LeVerrier)
 # ---------------------------------------------------------------------------
@@ -236,14 +206,6 @@ def char_poly_and_adjugate(a) -> tuple["IntPolynomial", list[list[int]]]:
 
 def char_poly(a) -> "IntPolynomial":
     return char_poly_and_adjugate(a)[0]
-
-
-def adjugate(a) -> list[list[int]]:
-    """Transpose of the cofactor matrix; satisfies A adj(A) = det(A) I.
-
-    The tests' reference, also for a singular A; production calls
-    :func:`scaled_inverse`."""
-    return char_poly_and_adjugate(a)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +519,6 @@ class IntPolynomial:
         s = " ".join(terms)
         s = s[2:] if s.startswith("+ ") else "-" + s[2:]
         return f"IntPolynomial({s})"
-
-
-def zero_root_multiplicity(p: IntPolynomial) -> int:
-    """Multiplicity of the root 0: index of the lowest nonzero coefficient."""
-    return p.trailing_zero_count()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conduction import _require_simple_connected, _sub_char_poly
+from .conduction import _require_device, _sub_char_poly
 from .graphs import Graph
 from .linalg import IntPolynomial
 
@@ -41,7 +41,7 @@ class DevicePolynomials:
 
 def device_polynomials(g: Graph, left: int, right: int) -> DevicePolynomials:
     """Exact device polynomials; ipso devices (left == right) are rejected."""
-    _require_simple_connected(g)
+    _require_device(g, left, right)
     if left == right:
         raise ValueError("transmission needs two distinct contact vertices")
     s = _sub_char_poly(g, 0)
@@ -54,9 +54,9 @@ def device_polynomials(g: Graph, left: int, right: int) -> DevicePolynomials:
 def _rational_T(dp: DevicePolynomials, beta_sq) -> tuple[IntPolynomial, IntPolynomial]:
     """Numerator and denominator of T as integer polynomials without a
     common power of E."""
-    if beta_sq <= 0:
+    p, q = _finite("beta_sq", beta_sq).as_integer_ratio()
+    if p <= 0:
         raise ValueError("beta_sq must be positive")
-    p, q = Fraction(beta_sq).as_integer_ratio()
     num = dp.jsq * (4 * p * q)
     sv = dp.s * q - dp.v * p
     tu = dp.t + dp.u
@@ -64,6 +64,15 @@ def _rational_T(dp: DevicePolynomials, beta_sq) -> tuple[IntPolynomial, IntPolyn
     strip = min((x.trailing_zero_count() for x in (num, den) if not x.is_zero()),
                 default=0)
     return num.shift(-strip), den.shift(-strip)
+
+
+def _finite(name: str, value) -> Fraction:
+    """The exact value of a finite number; ValueError naming the argument
+    for an infinity or NaN."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
 
 
 def _homogeneous(poly: IntPolynomial, a: int, d: int, degree: int) -> int:
@@ -77,7 +86,7 @@ def _homogeneous(poly: IntPolynomial, a: int, d: int, degree: int) -> int:
 
 
 def _evaluate(num: IntPolynomial, den: IntPolynomial, energy) -> float | None:
-    a, d = Fraction(energy).as_integer_ratio()
+    a, d = _finite("energy", energy).as_integer_ratio()
     degree = max(num.degree, den.degree)
     bottom = _homogeneous(den, a, d, degree)
     if bottom == 0:
@@ -160,6 +169,8 @@ def sweep(dp: DevicePolynomials, beta_sq: float, e_min: float, e_max: float,
     """Uniform energy grid; endpoints included, excluded points set aside."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    _finite("e_min", e_min)
+    _finite("e_max", e_max)
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
     num, den = _rational_T(dp, beta_sq)

@@ -1,8 +1,9 @@
 """Shared fixtures and brute-force oracles.
 
 The oracles here are deliberately naive (permutation search, explicit
-2-colourings, cofactor expansions): they are the independent references the
-fast implementations are checked against.
+2-colourings, cofactor expansions, rational Gauss-Jordan, one elimination per
+deleted subgraph): they are the independent references the fast
+implementations are checked against.
 """
 
 from __future__ import annotations
@@ -10,11 +11,17 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from condgraph import linalg
 from condgraph.census import enumerate_connected
-from condgraph.graphs import Graph
+from condgraph.conduction import (ConductionGraph, NullitySignature, _sub_char_poly,
+                                  _sub_matrix, _verdict_from_signature, _walk,
+                                  inverse_conduction_pattern)
+from condgraph.graphs import Graph, is_connected
+from condgraph.linalg import SingularMatrixError
 
 
 @pytest.fixture(scope="session")
@@ -142,6 +149,50 @@ def rational_rref_rank(a) -> int:
     return r
 
 
+def fraction_inverse(a) -> list[list[Fraction]]:
+    """Exact inverse of a square integer or rational matrix by Gauss-Jordan
+    over the rationals.
+
+    A singular matrix raises :class:`SingularMatrixError` carrying its
+    kernel basis.
+    """
+    n = len(a)
+    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
+         for i in range(n)]
+    for c in range(n):
+        p = None
+        for r in range(c, n):
+            if m[r][c]:
+                p = r
+                break
+        if p is None:
+            # the kernel of a rational matrix is that of an integer multiple
+            scale = lcm(*(Fraction(x).denominator for row in a for x in row))
+            raise SingularMatrixError(
+                linalg.kernel_basis([[int(x * scale) for x in row] for row in a]))
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+        pv = m[c][c]
+        m[c] = [x / pv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def count_linalg_calls(monkeypatch, *names) -> dict:
+    """Count the calls of the named ``condgraph.linalg`` functions, by name,
+    for the rest of the test."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(a, _name=name, _real=getattr(linalg, name)):
+            counts[_name] += 1
+            return _real(a)
+        monkeypatch.setattr(linalg, name, counted)
+    return counts
+
+
 def count_vector_refine(rows, cells):
     """Equitable refinement of an ordered partition of a graph given by
     adjacency bit rows: cells split by the vector of neighbour counts in
@@ -186,3 +237,86 @@ def cubic_with_twins(order: int) -> Graph:
     xs, ys = range(2 * k, 2 * k + 3), range(2 * k + 3, 2 * k + 6)
     edges += [(x, y) for x in xs for y in ys if (x, y) != (xs[0], ys[0])]
     return Graph.from_edges(order, edges + [(0, xs[0]), (k, ys[0])])
+
+
+# ---------------------------------------------------------------------------
+# the selection rules over directly eliminated deletions
+# ---------------------------------------------------------------------------
+
+def sub_nullity(g: Graph, dropped: int) -> int:
+    """Nullity of the adjacency matrix of g minus the vertices in ``dropped``,
+    by one rank elimination.  The empty graph has nullity 0."""
+    m = _sub_matrix(g, dropped)
+    return len(m) - linalg.rank(m)
+
+
+def make_jtester(g: Graph, eta: int):
+    """Equal-nullity resolver with lazy per-graph polynomial caching.
+
+    The device conducts iff the forced zero roots of u*t - s*v are not
+    exceeded, i.e. their count equals twice the graph's nullity.
+    """
+    cache = {}
+
+    def poly(dropped):
+        if dropped not in cache:
+            cache[dropped] = _sub_char_poly(g, dropped)
+        return cache[dropped]
+
+    def jtest(u, v):
+        p = poly(1 << v) * poly(1 << u) - poly(0) * _sub_char_poly(
+            g, 1 << u | 1 << v)
+        if p.is_zero():
+            return False
+        return p.trailing_zero_count() == 2 * eta
+
+    return jtest
+
+
+def reference_device(g: Graph, u: int, v: int):
+    """(nullity signature, verdict) of the device (g, u, v), u == v for
+    ipso: one elimination per deletion and the polynomial j-test."""
+    eta = sub_nullity(g, 0)
+    eta_u = sub_nullity(g, 1 << u)
+    if u == v:
+        sig = NullitySignature(eta, eta_u, eta_u, None)
+    else:
+        sig = NullitySignature(eta, eta_u, sub_nullity(g, 1 << v),
+                               sub_nullity(g, 1 << u | 1 << v))
+    return sig, _verdict_from_signature(u, v, sig, make_jtester(g, eta))
+
+
+def conduction_by_rules(g: Graph) -> ConductionGraph:
+    """The walk over directly eliminated deletions and the polynomial
+    j-test."""
+    eta = sub_nullity(g, 0)
+    graph, verdicts = _walk(
+        g.n, eta, lambda *deleted: sub_nullity(g, sum(1 << v for v in deleted)),
+        make_jtester(g, eta))
+    return ConductionGraph(graph, verdicts, eta)
+
+
+def ucg_by_deletions(g: Graph) -> bool:
+    """Uniform core graph: nullity at least 2, every single deletion drops it
+    by one and every double deletion by two."""
+    eta = sub_nullity(g, 0)
+    return eta >= 2 and all(
+        sub_nullity(g, 1 << v) == eta - 1 for v in range(g.n)) and all(
+        sub_nullity(g, 1 << u | 1 << v) == eta - 2
+        for u in range(g.n) for v in range(u + 1, g.n))
+
+
+def cubic_degree_theorem_check(g: Graph) -> bool:
+    """Every conduction-graph vertex of a nonsingular cubic graph should have
+    at least 4 neighbours; False would contradict the theorem.
+
+    A looped vertex counts as its own neighbour, matching the nonzero count
+    of the inverse column the theorem argues about.
+    """
+    if not g.is_simple() or not is_connected(g):
+        raise ValueError("expected a connected simple graph")
+    if any(r.bit_count() != 3 for r in g.rows):
+        raise ValueError("expected a 3-regular graph")
+    rows, loops = inverse_conduction_pattern(g)  # raises if singular
+    return all(r.bit_count() + (loops >> v & 1) >= 4
+               for v, r in enumerate(rows))

@@ -15,11 +15,8 @@ import pytest
 
 from condgraph.census import (enumerate_chemical, enumerate_connected,
                               run_census)
-from condgraph.classify import (conduction_isomorphism, cubic_degree_theorem_check,
-                                is_conduction_isomorphic)
-from condgraph.conduction import (_conduction_by_rules, booleanise,
-                                  conduction_graph, device_verdict, graph_nullity,
-                                  nullity_signature)
+from condgraph.classify import conduction_isomorphism, is_conduction_isomorphic
+from condgraph.conduction import Rule, booleanise, conduction_graph, device_verdict
 from condgraph.families import (appendix_family_graph, appendix_witness,
                                 canonical_double_cover, cdc_witness, corona,
                                 corona_spectrum, corona_witness,
@@ -30,9 +27,12 @@ from condgraph.graphs import (Graph, adjacency_matrix, connected_components,
                               cycle_graph, from_graph6, graph_from_adjacency,
                               is_bipartite, path_graph, star_graph)
 from condgraph.isomorphism import are_isomorphic, verify_witness
-from condgraph.linalg import (SingularMatrixError, adjugate, det, float_spectrum,
-                              inverse, kernel_basis, nullity)
+from condgraph.linalg import (SingularMatrixError, char_poly_and_adjugate, det,
+                              float_spectrum, kernel_basis, nullity)
 from condgraph.transmission import device_polynomials, evaluate_T
+
+from conftest import (conduction_by_rules, cubic_degree_theorem_check,
+                      fraction_inverse, reference_device)
 
 
 @contextmanager
@@ -134,7 +134,7 @@ def test_criterion_04_odd_order_ipso_omni_insulator():
         g = fixture("ipso15")
         a = adjacency_matrix(g)
         assert nullity(a) == 0
-        inv = inverse(a)
+        inv = fraction_inverse(a)
         assert all(inv[i][i] == 0 for i in range(15))
 
 
@@ -148,8 +148,9 @@ def test_criterion_05_inverse_oracle_equivalence():
                 a = adjacency_matrix(g)
                 if det(a) == 0:
                     continue
-                by_rules = _conduction_by_rules(g).graph
-                by_inverse = graph_from_adjacency(booleanise(inverse(a)))
+                by_rules = conduction_by_rules(g).graph
+                by_inverse = graph_from_adjacency(
+                    booleanise(fraction_inverse(a)))
                 assert by_rules == by_inverse, g
                 checked += 1
         assert seen == 12112  # all connected graphs on 2..8 vertices
@@ -227,7 +228,7 @@ def test_criterion_09_nut_characterisation():
                 basis = kernel_basis(a)
                 full_kernel = all(x != 0 for x in basis[0])
                 # independent route: rank-one adjugate, nonzero diagonal
-                adj = adjugate(a)
+                adj = char_poly_and_adjugate(a)[1]
                 adjugate_full = all(adj[i][i] != 0 for i in range(n))
                 assert full_kernel == adjugate_full, g
                 by_rules = conduction_graph(g).graph
@@ -278,7 +279,9 @@ def test_supporting_jtest_exponent_against_floating_oracle():
     """Validation demanded by the design notes: the exact equal-nullity rule
     (zero-root count of u*t - s*v equals twice the nullity) must agree with
     the floating eigenvector sum j_a on every equal-nullity device, here for
-    all connected graphs on up to 7 vertices."""
+    all connected graphs on up to 7 vertices.  Both the signature and the
+    rule come from the tests' reference (direct deletions, the polynomial
+    j-test), not from the bordered adjugate the library reads."""
     t0 = time.time()
     agree = 0
     for n in range(2, 8):
@@ -287,14 +290,15 @@ def test_supporting_jtest_exponent_against_floating_oracle():
             pinv = None
             for u in range(n):
                 for v in range(u + 1, n):
-                    sig = nullity_signature(g, u, v)
+                    sig, ref = reference_device(g, u, v)
                     if len(set([sig.eta_g, sig.eta_gu, sig.eta_gv,
                                 sig.eta_guv])) != 1:
                         continue
                     if pinv is None:
                         a = np.array(adjacency_matrix(g), dtype=float)
                         pinv = np.linalg.pinv(a, rcond=1e-10)
-                    exact = device_verdict(g, u, v).conducts
+                    assert ref.rule is Rule.EQUAL_NULLITY_JTEST
+                    exact = ref.conducts
                     floating = abs(pinv[u][v]) > 1e-8
                     assert exact == floating, (g, u, v)
                     agree += 1

@@ -18,6 +18,7 @@ from condgraph.fixtures import fixture
 from condgraph.graphs import Graph, from_graph6, to_graph6
 from condgraph.isomorphism import canonical_data, canonical_form
 
+from conftest import count_linalg_calls
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 CHEMICAL_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 10, 6: 29, 7: 64, 8: 194,
@@ -166,16 +167,6 @@ def test_record_all_keeps_the_screen_verdicts(connected_upto_7):
         assert [r for r in records if r.cond_iso] == positives
 
 
-def _count_eliminations(monkeypatch) -> dict:
-    counts = {"_echelon": 0, "char_poly_and_adjugate": 0}
-    for name in counts:
-        def counted(a, _name=name, _real=getattr(linalg, name)):
-            counts[_name] += 1
-            return _real(a)
-        monkeypatch.setattr(linalg, name, counted)
-    return counts
-
-
 def test_record_all_eliminates_as_conduction_graph_does(monkeypatch):
     # a recorded graph is classified once: no screen before its record.  One
     # echelon of [A | I] per graph, and one more per singular graph whose
@@ -184,7 +175,7 @@ def test_record_all_eliminates_as_conduction_graph_does(monkeypatch):
     bordered = [g.n + graph_nullity(g) for g in graphs if graph_nullity(g)]
     assert len(bordered) == 816
     assert max(bordered) < linalg.MODULAR_MIN_ORDER
-    counts = _count_eliminations(monkeypatch)
+    counts = count_linalg_calls(monkeypatch, "_echelon", "char_poly_and_adjugate")
     for g in graphs:
         conduction_graph(g)
     alone = dict(counts)
@@ -199,7 +190,7 @@ def test_production_never_runs_faddeev_leverrier(monkeypatch, connected_upto_7):
     # polynomial recurrence serves transmission and the tests
     classes = [connected_upto_7[n] for n in range(1, 8)]
     classes.append(list(enumerate_chemical(10)))
-    counts = _count_eliminations(monkeypatch)
+    counts = count_linalg_calls(monkeypatch, "_echelon", "char_poly_and_adjugate")
     for graphs in classes:
         for g in graphs:
             conduction_graph(g)
@@ -445,6 +436,44 @@ def test_persistent_census_parallel(tmp_path):
     outdir = tmp_path / "par"
     s = run_census_persistent("chemical", 6, outdir, shards=4, jobs=2)
     assert s.row(6) == (29, 3, 1)
+
+
+def test_persistent_census_pool_size(tmp_path, monkeypatch):
+    # the pool gets no more workers than shards still to run; the recording
+    # stand-in runs each shard in this process and starts no worker
+    import multiprocessing
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes=None):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    outdir = tmp_path / "pool"
+    assert run_census_persistent("chemical", 6, outdir, shards=4,
+                                 jobs=64).row(6) == (29, 3, 1)
+    assert sizes == [4]
+    # a resume with one shard left runs it in this process
+    store = CensusStore(outdir, 6)
+    lines = store.manifest_path.read_text().splitlines()
+    store.manifest_path.write_text("\n".join(lines[:-1]) + "\n")
+    assert run_census_persistent("chemical", 6, outdir, shards=4,
+                                 jobs=64).row(6) == (29, 3, 1)
+    assert sizes == [4]
+    for jobs in (0, -1):
+        fresh = tmp_path / f"jobs{jobs}"
+        with pytest.raises(ValueError, match="jobs"):
+            run_census_persistent("chemical", 6, fresh, shards=4, jobs=jobs)
+        assert not fresh.exists()
 
 
 def test_sidecar_contains_positives(tmp_path):

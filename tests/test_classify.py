@@ -14,7 +14,6 @@ from condgraph import classify, linalg
 from condgraph.census import enumerate_chemical
 from condgraph.classify import (class_code, classification_report,
                                 conduction_isomorphism, conduction_isomorphisms,
-                                cubic_degree_theorem_check,
                                 is_conduction_isomorphic, is_ipso_omni_insulator,
                                 is_nut, is_uniform_core_graph)
 from condgraph.conduction import conduction_graph, inverse_conduction_pattern
@@ -23,7 +22,7 @@ from condgraph.graphs import (Graph, bipartition, complete_bipartite_graph,
                               complete_graph, cycle_graph, is_connected, path_graph)
 from condgraph.isomorphism import are_isomorphic
 
-from conftest import cubic_with_twins
+from conftest import cubic_degree_theorem_check, cubic_with_twins, ucg_by_deletions
 
 
 def test_ipso_omni_insulator_examples():
@@ -188,7 +187,9 @@ def test_classification_report_fields():
 
 def test_report_reads_the_analysis(connected_upto_7, monkeypatch):
     # nullity, nut, UCG and the nullity digit of the report come from the
-    # bordered adjugate that built G^C; the public predicates eliminate anew
+    # bordered adjugate that built G^C, as is_uniform_core_graph does; they
+    # are checked against one rank of A, a kernel basis (is_nut) and one
+    # elimination per deleted subgraph
     from condgraph.conduction import graph_nullity
     ucgs = nuts = 0
     for n in range(1, 8):
@@ -196,7 +197,8 @@ def test_report_reads_the_analysis(connected_upto_7, monkeypatch):
             rep = classification_report(g)
             assert rep.nullity == graph_nullity(g), g
             assert rep.is_nut == is_nut(g), g
-            assert rep.is_ucg == is_uniform_core_graph(g), g
+            assert rep.is_ucg == is_uniform_core_graph(g) \
+                == ucg_by_deletions(g), g
             assert rep.code == class_code(g), g
             ucgs += rep.is_ucg
             nuts += rep.is_nut

@@ -209,6 +209,15 @@ def test_census_refuses_fewer_than_one_shard(capsys, tmp_path):
         assert not outdir.exists()
 
 
+def test_census_refuses_fewer_than_one_job(capsys, tmp_path):
+    for jobs in ("0", "-3"):
+        outdir = tmp_path / f"store{jobs}"
+        code, out, err = run(capsys, "census", "--mode", "connected", "--n", "5",
+                             "--out", str(outdir), "--jobs", jobs)
+        assert code == 2 and out == "" and "jobs" in err
+        assert not outdir.exists()
+
+
 def test_conduct_reads_stdin():
     src = str(Path(condgraph.__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -324,3 +333,17 @@ def test_transmit_subcommand(capsys, tmp_path):
 
     code, _, err = run(capsys, "transmit", "A_", "--left", "0", "--right", "5")
     assert code == 2
+
+
+def test_transmit_refuses_non_finite_numbers(capsys):
+    # an infinity or NaN is named in the message and exits 2, before any
+    # exact conversion of the value is tried
+    for flag, value, name in (("--beta-sq", "inf", "beta_sq"),
+                              ("--beta-sq", "nan", "beta_sq"),
+                              ("--e-max", "inf", "e_max"),
+                              ("--e-min", "-inf", "e_min"),
+                              ("--e-min", "nan", "e_min")):
+        code, out, err = run(capsys, "transmit", "A_", "--left", "0",
+                             "--right", "1", f"{flag}={value}")
+        assert code == 2 and out == "", (flag, value)
+        assert f"{name} must be a finite number" in err, (flag, value)

@@ -6,9 +6,9 @@ import pytest
 
 from condgraph import linalg
 from condgraph.census import enumerate_connected
+from condgraph.classify import is_uniform_core_graph
 from condgraph.conduction import (BorderedAdjugate, ConductionGraph, DeviceVerdict,
-                                  Rule, _conduction_by_rules, _sub_nullity,
-                                  booleanise, conduction_graph, device_verdict,
+                                  Rule, booleanise, conduction_graph, device_verdict,
                                   graph_nullity, inverse_conduction_pattern,
                                   nullity_signature)
 from condgraph.families import min_deg2_graph
@@ -17,13 +17,17 @@ from condgraph.graphs import (Graph, adjacency_matrix, complete_bipartite_graph,
                               complete_graph, cycle_graph, graph_from_adjacency,
                               path_graph, star_graph)
 from condgraph.isomorphism import are_isomorphic, canonical_form
-from condgraph.linalg import adjugate, det, inverse, kernel_basis
+from condgraph.linalg import char_poly_and_adjugate, det, kernel_basis
+
+from conftest import (conduction_by_rules, count_linalg_calls, fraction_inverse,
+                      reference_device, sub_nullity)
 
 
 def test_booleanise_examples():
     assert booleanise([[Fraction(1, 2), 0], [0, -2]]) == [[2, 0], [0, 2]]
-    assert booleanise(inverse(adjacency_matrix(path_graph(2)))) == [[0, 1], [1, 0]]
-    p4c = booleanise(inverse(adjacency_matrix(path_graph(4))))
+    assert booleanise(fraction_inverse(adjacency_matrix(path_graph(2)))) \
+        == [[0, 1], [1, 0]]
+    p4c = booleanise(fraction_inverse(adjacency_matrix(path_graph(4))))
     assert graph_from_adjacency(p4c) == Graph.from_edges(4, [(0, 1), (0, 3), (2, 3)])
     assert are_isomorphic(graph_from_adjacency(p4c), path_graph(4))
     with pytest.raises(ValueError):
@@ -62,14 +66,14 @@ def test_equal_nullity_device_uses_jtest():
     verdict = device_verdict(complete_graph(4), 0, 1)
     assert verdict.rule is Rule.EQUAL_NULLITY_JTEST
     assert verdict.conducts
-    inv = inverse(adjacency_matrix(complete_graph(4)))
+    inv = fraction_inverse(adjacency_matrix(complete_graph(4)))
     assert inv[0][1] != 0
 
 
 def test_c6_antipodal_pair_agrees_with_inverse():
     c6 = cycle_graph(6)
     verdict = device_verdict(c6, 0, 3)
-    inv = inverse(adjacency_matrix(c6))
+    inv = fraction_inverse(adjacency_matrix(c6))
     assert verdict.conducts == (inv[0][3] != 0)
 
 
@@ -85,6 +89,45 @@ def test_device_verdict_rejects_bad_input():
         device_verdict(Graph.from_edges(4, [(0, 1), (2, 3)]), 0, 1)
     with pytest.raises(ValueError):
         device_verdict(Graph.from_edges(2, [(0, 1)], loops=[0]), 0, 1)
+    # the signature and the uniform-core predicate take what the verdict and
+    # conduction_graph take: a looped graph, a disconnected one (2K2 is
+    # nonsingular, 2K1 all core) and contacts outside the graph are refused
+    looped = Graph.from_edges(2, [(0, 1)], loops=[0])
+    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+    two_k1 = Graph.from_edges(2, [])
+    for g in (looped, two_k2, two_k1):
+        for answer in (lambda g: nullity_signature(g, 0, 1),
+                       lambda g: nullity_signature(g, 0, 0),
+                       is_uniform_core_graph, conduction_graph):
+            with pytest.raises(ValueError):
+                answer(g)
+    for u, v in ((0, 2), (-1, 0), (2, 2)):
+        with pytest.raises(ValueError):
+            nullity_signature(path_graph(2), u, v)
+        with pytest.raises(ValueError):
+            device_verdict(path_graph(2), u, v)
+
+
+def test_device_answers_read_one_analysis(monkeypatch):
+    # a device verdict reads the analysis conduction_graph reads: one
+    # elimination of A, and one of the bordered matrix when A is singular;
+    # no deleted subgraph is eliminated and no polynomial is formed
+    counts = count_linalg_calls(monkeypatch, "_echelon", "_modular_inverse",
+                                "char_poly_and_adjugate")
+
+    def eliminations(answer, *args):
+        counts.update(dict.fromkeys(counts, 0))
+        answer(*args)
+        return counts["_echelon"] + counts["_modular_inverse"]
+
+    assert eliminations(device_verdict, cycle_graph(8), 0, 4) <= 2
+    assert eliminations(nullity_signature, cycle_graph(8), 0, 4) <= 2
+    assert eliminations(device_verdict, complete_graph(4), 0, 1) == 1
+    assert counts["char_poly_and_adjugate"] == 0
+    k33 = complete_bipartite_graph(3, 3)
+    assert eliminations(is_uniform_core_graph, k33) \
+        == eliminations(conduction_graph, k33) == 2
+    assert counts["char_poly_and_adjugate"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +161,7 @@ def test_conduction_graphs_on_at_most_4_vertices():
         got = conduction_graph(g).graph
         assert got == expected, g
         # and the selection-rule walk agrees
-        assert _conduction_by_rules(g).graph == expected
+        assert conduction_by_rules(g).graph == expected
 
 
 def test_conduction_examples_from_text():
@@ -130,7 +173,7 @@ def test_conduction_examples_from_text():
 
 
 def test_conduction_graph_verdict_consistency():
-    cg = _conduction_by_rules(fixture("paw"))
+    cg = conduction_by_rules(fixture("paw"))
     assert isinstance(cg, ConductionGraph)
     for u in range(4):
         assert cg.verdict(u, u).conducts == cg.graph.has_loop(u)
@@ -140,20 +183,23 @@ def test_conduction_graph_verdict_consistency():
 
 
 def test_route_agreement_exhaustive_small(connected_upto_7):
-    # every device of every connected graph on 2..7 vertices, against the
-    # per-device rules (which compute all four nullities)
+    # every ipso and distinct device of every connected graph on 1..7
+    # vertices against the reference, which eliminates all four deletions
+    # and resolves equal nullities by the polynomial j-test: the conduction
+    # graph's verdict, and device_verdict (rule included) and
+    # nullity_signature exactly
     devices = 0
-    for n in range(2, 8):
+    for n in range(1, 8):
         for g in connected_upto_7[n]:
             cg = conduction_graph(g)
             for u in range(n):
-                assert cg.verdict(u, u).conducts == device_verdict(g, u, u).conducts
-                for v in range(u + 1, n):
-                    assert cg.verdict(u, v).conducts == \
-                        device_verdict(g, u, v).conducts, (g, u, v)
+                for v in range(u, n):
+                    sig, ref = reference_device(g, u, v)
+                    assert cg.verdict(u, v).conducts == ref.conducts, (g, u, v)
+                    assert device_verdict(g, u, v) == ref, (g, u, v)
+                    assert nullity_signature(g, u, v) == sig, (g, u, v)
                     devices += 1
-            devices += n
-    assert devices == 26_626
+    assert devices == 26_627
 
 
 def test_conduction_graph_preconditions():
@@ -179,9 +225,9 @@ def test_bordered_adjugate_deletion_nullities(connected_upto_7):
             analysis = _analysis(g)
             assert analysis.nullity() == graph_nullity(g)
             for u in range(n):
-                assert analysis.nullity(u) == _sub_nullity(g, 1 << u), (g, u)
+                assert analysis.nullity(u) == sub_nullity(g, 1 << u), (g, u)
                 for v in range(u + 1, n):
-                    expected = _sub_nullity(g, 1 << u | 1 << v)
+                    expected = sub_nullity(g, 1 << u | 1 << v)
                     assert analysis.nullity(u, v) == expected, (g, u, v)
                     assert analysis.nullity(v, u) == expected, (g, v, u)
 
@@ -197,11 +243,12 @@ def test_bordered_adjugate_is_scaled_pseudo_inverse():
         bordered = [row + [vec[i] for vec in z] for i, row in enumerate(a)]
         bordered += [vec + [0] * len(z) for vec in z]
         det_m = det(bordered)
-        gram_inv = inverse([[sum(x * y for x, y in zip(zi, zj)) for zj in z]
-                            for zi in z]) if z else []
+        gram_inv = fraction_inverse([[sum(x * y for x, y in zip(zi, zj))
+                                      for zj in z] for zi in z]) if z else []
         p = [[sum(z[k][i] * gram_inv[k][l] * z[l][j] for k in range(len(z))
                   for l in range(len(z))) for j in range(n)] for i in range(n)]
-        shifted = inverse([[a[i][j] + p[i][j] for j in range(n)] for i in range(n)])
+        shifted = fraction_inverse([[a[i][j] + p[i][j] for j in range(n)]
+                                    for i in range(n)])
         pinv = [[shifted[i][j] - p[i][j] for j in range(n)] for i in range(n)]
         adj = BorderedAdjugate(a, z).adj
         assert len(adj) == n + len(z)
@@ -222,13 +269,13 @@ def test_bordered_route_matches_rule_walk():
     # larger singular graphs of nullity 2, 1, 29 and 24
     checked = 0
     for g in _singular_connected(8):
-        assert conduction_graph(g).graph == _conduction_by_rules(g).graph, g
+        assert conduction_graph(g).graph == conduction_by_rules(g).graph, g
         checked += 1
     assert checked == 5982
     for g in (cycle_graph(40), path_graph(41), star_graph(30),
               complete_bipartite_graph(6, 20)):
         cg = conduction_graph(g)
-        ref = _conduction_by_rules(g)
+        ref = conduction_by_rules(g)
         assert cg.graph == ref.graph, g
         assert cg.verdicts == ref.verdicts, g
 
@@ -331,7 +378,7 @@ def test_bordered_adjugate_stays_exact_when_the_check_fails(monkeypatch):
         assert results == [False]
         bordered = [row + [int(i == 0)] for i, row in enumerate(a)]
         bordered.append([1] + [0] * n)
-        assert analysis.adj == linalg.adjugate(bordered)
+        assert analysis.adj == char_poly_and_adjugate(bordered)[1]
         for u in range(n):
             keep = [i for i in range(n) if i != u]
             sub = [[a[i][j] for j in keep] for i in keep]
@@ -356,10 +403,10 @@ def test_bordered_adjugate_from_a_scaled_inverse(monkeypatch, connected_upto_7):
             scaled.n = n
             scaled.adj = [[-3 * x for x in row] for row in analysis.adj]
             for u in range(n):
-                assert analysis.nullity(u) == _sub_nullity(g, 1 << u), (g, u)
+                assert analysis.nullity(u) == sub_nullity(g, 1 << u), (g, u)
                 assert scaled.nullity(u) == analysis.nullity(u), (g, u)
                 for v in range(u + 1, n):
-                    expected = _sub_nullity(g, 1 << u | 1 << v)
+                    expected = sub_nullity(g, 1 << u | 1 << v)
                     assert analysis.nullity(u, v) == expected, (g, u, v)
                     assert scaled.nullity(u, v) == expected, (g, u, v)
                     assert scaled.conducts(u, v) == analysis.conducts(u, v)
@@ -427,7 +474,7 @@ def test_adjugate_pattern_reveals_core_block(connected_upto_7):
             if graph_nullity(g) != 1:
                 continue
             core = set(_vertex_classes(conduction_graph(g))[0])
-            pattern = booleanise(adjugate(adjacency_matrix(g)))
+            pattern = booleanise(char_poly_and_adjugate(adjacency_matrix(g))[1])
             for i in range(n):
                 assert pattern[i][i] == (2 if i in core else 0)
                 for j in range(i + 1, n):

@@ -14,12 +14,12 @@ from condgraph.families import min_deg2_graph
 from condgraph.fixtures import fixture
 from condgraph.graphs import adjacency_matrix, cycle_graph, path_graph
 from condgraph.linalg import (MODULUS, IntPolynomial, SingularMatrixError,
-                              adjugate, char_poly, char_poly_and_adjugate, det,
-                              float_spectrum, inverse, kernel_basis, nullity,
-                              rank, scaled_inverse, zero_root_multiplicity)
+                              char_poly, char_poly_and_adjugate, det,
+                              float_spectrum, kernel_basis, nullity, rank,
+                              scaled_inverse)
 
-from conftest import (cofactor_adjugate, cubic_with_twins, prism,
-                      rational_rref_rank)
+from conftest import (cofactor_adjugate, cubic_with_twins, fraction_inverse,
+                      prism, rational_rref_rank)
 
 
 def A(g):
@@ -143,20 +143,20 @@ def test_kernel_basis_matches_fraction_back_substitution_on_matrices(m):
 # ---------------------------------------------------------------------------
 
 def test_inverse_examples():
-    assert inverse(A(path_graph(2))) == [[0, 1], [1, 0]]
+    assert fraction_inverse(A(path_graph(2))) == [[0, 1], [1, 0]]
     # frozen 4x4 rational elimination; all nonzero entries sit on
     # odd-distance pairs of the path
-    p4 = inverse(A(path_graph(4)))
+    p4 = fraction_inverse(A(path_graph(4)))
     assert p4 == [[0, 1, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1], [-1, 0, 1, 0]]
     dist_odd = {(0, 1), (1, 0), (0, 3), (3, 0), (2, 3), (3, 2), (1, 2), (2, 1)}
     assert all(p4[i][i] == 0 for i in range(4))
     assert all((i, j) in dist_odd for i in range(4) for j in range(4) if p4[i][j])
     with pytest.raises(SingularMatrixError) as err:
-        inverse(A(cycle_graph(4)))
+        fraction_inverse(A(cycle_graph(4)))
     assert err.value.nullity == 2
     assert err.value.kernel == kernel_basis(A(cycle_graph(4)))
     with pytest.raises(SingularMatrixError) as err:
-        inverse([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+        fraction_inverse([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
     assert err.value.kernel == [[2, -3]]
 
 
@@ -165,13 +165,13 @@ def test_inverse_times_matrix_is_identity(connected_upto_7):
         a = A(g)
         if det(a) == 0:
             continue
-        prod = mat_mul(a, inverse(a))
+        prod = mat_mul(a, fraction_inverse(a))
         assert prod == [[Fraction(i == j) for j in range(g.n)] for i in range(g.n)]
 
 
 def test_adjugate_examples():
-    assert adjugate(A(path_graph(2))) == [[0, -1], [-1, 0]]
-    adj = adjugate(A(path_graph(3)))
+    assert char_poly_and_adjugate(A(path_graph(2)))[1] == [[0, -1], [-1, 0]]
+    adj = char_poly_and_adjugate(A(path_graph(3)))[1]
     # rank one, proportional to the outer product of the kernel vector
     x = [1, 0, -1]
     alpha = adj[0][0] // (x[0] * x[0])
@@ -181,19 +181,19 @@ def test_adjugate_examples():
 @settings(max_examples=60, deadline=None)
 @given(small_int_matrices)
 def test_adjugate_matches_cofactor_oracle(m):
-    assert adjugate(m) == cofactor_adjugate(m)
+    assert char_poly_and_adjugate(m)[1] == cofactor_adjugate(m)
 
 
 def test_adjugate_identity_and_inverse_relation(connected_upto_7, rng):
     for n in range(2, 7):
         for g in rng.sample(connected_upto_7[n], min(25, len(connected_upto_7[n]))):
             a = A(g)
-            adj = adjugate(a)
+            adj = char_poly_and_adjugate(a)[1]
             d = det(a)
             assert mat_mul(a, adj) == [[d * (i == j) for j in range(g.n)]
                                        for i in range(g.n)]
             if d != 0:
-                inv = inverse(a)
+                inv = fraction_inverse(a)
                 assert all(Fraction(adj[i][j], d) == inv[i][j]
                            for i in range(g.n) for j in range(g.n))
 
@@ -223,7 +223,7 @@ def _both_halves(monkeypatch):
 def _assert_is_adjugate(a, half):
     cut, attempts = half
     attempts.clear()
-    assert scaled_inverse(a) == (det(a), adjugate(a))
+    assert scaled_inverse(a) == (det(a), char_poly_and_adjugate(a)[1])
     # the half under test decided: no modular attempt below the crossover,
     # and one that passed its check above it
     assert attempts == ([True] if len(a) >= cut else [])
@@ -293,7 +293,7 @@ def test_scaled_inverse_matches_det_adjugate_and_kernel(m):
     if rank(m) < len(m):
         _assert_singular(m)
     else:
-        assert scaled_inverse(m) == (det(m), adjugate(m))
+        assert scaled_inverse(m) == (det(m), char_poly_and_adjugate(m)[1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,7 +305,7 @@ def test_modular_inverse_is_the_adjugate_on_small_matrices(m):
         assert found is None
     else:
         d, x = found
-        assert (d, x.tolist()) == (det(m), adjugate(m))
+        assert (d, x.tolist()) == (det(m), char_poly_and_adjugate(m)[1])
 
 
 def test_scaled_inverse_refuses_what_the_prime_cannot_decide(monkeypatch):
@@ -319,11 +319,12 @@ def test_scaled_inverse_refuses_what_the_prime_cannot_decide(monkeypatch):
     # det = 3 * 2**30 lifts to a wrong residue, and the cofactor 3 * 2**30
     # exceeds p/2; the integer check refuses the lifted pair
     a = [[1 << 30, 0, 0], [0, 3, 0], [0, 0, 1]]
-    assert max(max(map(abs, row)) for row in adjugate(a)) > MODULUS // 2
+    adj = char_poly_and_adjugate(a)[1]
+    assert max(max(map(abs, row)) for row in adj) > MODULUS // 2
     refused.append(a)
     for a in refused:
         assert modular(a) is None
-        assert scaled_inverse(a) == (det(a), adjugate(a))
+        assert scaled_inverse(a) == (det(a), char_poly_and_adjugate(a)[1])
     # a scaled result that does pass is exactly d A^-1, though not adj(A)
     d, x = modular([[2, 0], [0, 2]])
     assert mat_mul([[2, 0], [0, 2]], x.tolist()) == [[d, 0], [0, d]]
@@ -341,7 +342,7 @@ def test_scaled_inverse_keeps_overflowing_input_from_numpy(monkeypatch):
     row = [1 << 29] * 5
     for a in ([[1 << 63]], [[-(1 << 64), 1], [1, 0]]):
         assert modular(a) is None
-        assert scaled_inverse(a) == (det(a), adjugate(a))
+        assert scaled_inverse(a) == (det(a), char_poly_and_adjugate(a)[1])
     assert modular([row[:] for _ in range(5)]) is None
     _assert_singular([row[:] for _ in range(5)])
     assert modular([]) is None
@@ -392,8 +393,9 @@ def test_modular_adjugates_leave_what_they_cannot_decide():
                       [[0, 1, 0], [1, 0, 1], [0, 1, 1]]])
     status, d, x = linalg.modular_adjugates(stack)
     assert status.tolist() == [linalg.UNDECIDED] * 3 + [linalg.ADJUGATE]
-    assert (int(d[3]), x[3].tolist()) == (det(stack[3].tolist()),
-                                          adjugate(stack[3].tolist()))
+    good = stack[3].tolist()
+    assert (int(d[3]), x[3].tolist()) == (det(good),
+                                          char_poly_and_adjugate(good)[1])
 
 
 def test_small_modulus_keeps_the_modular_verdicts_exact(connected_upto_7,
@@ -457,7 +459,7 @@ def test_char_poly_monic_and_consistent(connected_upto_7):
             assert p.degree == g.n and p.coeffs[-1] == 1
             # multiplicity of the zero root equals the nullity
             if p(0) == 0:
-                assert zero_root_multiplicity(p) == nullity(a)
+                assert p.trailing_zero_count() == nullity(a)
             else:
                 assert nullity(a) == 0
             # det from the constant coefficient
@@ -479,10 +481,10 @@ def test_nullity1_adjugate_sign_matches_char_poly(connected_upto_7):
         for g in connected_upto_7[n]:
             a = A(g)
             p = char_poly(a)
-            if p.is_zero() or p(0) != 0 or zero_root_multiplicity(p) != 1:
+            if p.is_zero() or p(0) != 0 or p.trailing_zero_count() != 1:
                 continue
             x = kernel_basis(a)[0]
-            adj = adjugate(a)
+            adj = char_poly_and_adjugate(a)[1]
             alpha = (-1) ** (g.n - 1) * p.coeffs[1]
             xx = sum(xi * xi for xi in x)
             assert all(adj[i][j] * xx == alpha * x[i] * x[j]
@@ -490,12 +492,12 @@ def test_nullity1_adjugate_sign_matches_char_poly(connected_upto_7):
 
 
 def test_zero_root_multiplicity_examples():
-    assert zero_root_multiplicity(IntPolynomial([0, -3, 0, 1])) == 1  # E^3 - 3E
+    assert IntPolynomial([0, -3, 0, 1]).trailing_zero_count() == 1  # E^3 - 3E
     sq = IntPolynomial([0, 1]) * IntPolynomial([-1, 1])
-    assert zero_root_multiplicity(sq * sq) == 2
-    assert zero_root_multiplicity(IntPolynomial([5])) == 0
+    assert (sq * sq).trailing_zero_count() == 2
+    assert IntPolynomial([5]).trailing_zero_count() == 0
     with pytest.raises(ValueError):
-        zero_root_multiplicity(IntPolynomial([]))
+        IntPolynomial([]).trailing_zero_count()
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,14 @@ def test_device_polynomials_rejects_ipso():
         device_polynomials(path_graph(3), 1, 1)
 
 
+def test_device_polynomials_reject_contacts_outside_the_graph():
+    # an index outside the graph would delete no vertex and silently give
+    # another device's polynomials
+    for left, right in ((0, 7), (7, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            device_polynomials(path_graph(3), left, right)
+
+
 def test_jsq_square_root_exists_small(connected_upto_7):
     for n in range(2, 6):
         for g in connected_upto_7[n]:
@@ -98,6 +106,23 @@ def test_sweep_k2():
         sweep(dp, 1.0, 1.0, -1.0, 5)
     with pytest.raises(ValueError):
         sweep(dp, 1.0, -1.0, 1.0, 1)
+
+
+def test_non_finite_numbers_are_named():
+    dp = device_polynomials(path_graph(2), 0, 1)
+    inf, nan = float("inf"), float("nan")
+    for beta_sq in (inf, nan):
+        with pytest.raises(ValueError, match="beta_sq"):
+            sweep(dp, beta_sq, -1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="beta_sq"):
+            evaluate_T(dp, beta_sq, 0.0)
+    for e_min, e_max, name in ((-inf, 1.0, "e_min"), (nan, 1.0, "e_min"),
+                               (-1.0, inf, "e_max"), (-1.0, nan, "e_max")):
+        with pytest.raises(ValueError, match=name):
+            sweep(dp, 1.0, e_min, e_max, 5)
+    for energy in (inf, -inf, nan):
+        with pytest.raises(ValueError, match="energy"):
+            evaluate_T(dp, 1.0, energy)
 
 
 def test_sweep_symmetric_for_bipartite_symmetric_device():
