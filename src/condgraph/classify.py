@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .conduction import (ConductionGraph, conduction_graph,
+from .conduction import (ConductionGraph, analyse, conduction_graph,
                          inverse_conduction_pattern)
-from .graphs import Graph, adjacency_matrix, bfs_distances, is_bipartite, is_connected
+from .graphs import Graph, bfs_distances, is_bipartite, is_connected
 # TheoremCheckError and check_theorem live in isomorphism, which verifies
 # witnesses with them; they stay importable from here
 from .isomorphism import TheoremCheckError, check_theorem, find_isomorphism  # noqa: F401
@@ -32,7 +32,10 @@ def is_ipso_omni_insulator(g: Graph) -> bool:
 
 
 def is_nut(g: Graph, include_trivial: bool = False) -> bool:
-    """Nullity one with a nowhere-zero kernel vector (exact).
+    """Nullity one with a nowhere-zero kernel vector (exact), read from the
+    analysis as :func:`classification_report` reads it: eta = 1 and every
+    vertex core (no zero border row).  A looped or disconnected graph is no
+    nut.
 
     K1 satisfies the letter of the definition; it is excluded unless
     ``include_trivial`` is set.
@@ -41,11 +44,9 @@ def is_nut(g: Graph, include_trivial: bool = False) -> bool:
         return False
     if g.n == 1:
         return include_trivial
-    a = adjacency_matrix(g)
-    basis = linalg.kernel_basis(a)
-    if len(basis) != 1:
-        return False
-    return all(x != 0 for x in basis[0])
+    analysis = analyse(g)
+    return analysis.eta == 1 and all(analysis.nullity(v) == 0
+                                     for v in range(g.n))
 
 
 def is_uniform_core_graph(g: Graph) -> bool:

@@ -103,6 +103,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    # checked on both paths, although only --out runs shards and jobs
+    for name in ("jobs", "shards"):
+        if getattr(args, name) < 1:
+            print(f"--{name} must be at least 1, got {getattr(args, name)}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     errors, records = [], []
     try:
         if args.out:

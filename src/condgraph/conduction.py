@@ -28,20 +28,25 @@ by one of two routes, chosen by the nullity:
   bordered adjugate.  The walk skips the double deletion wherever the
   single-deletion shifts already fix the row; in a nullity-1 graph that
   yields the block structure around the core vertices (a looped clique with
-  no edges to the rest) directly.
+  no edges to the rest) directly.  It builds no per-device objects: each
+  border row is read once, as a scale and a primitive direction, and every
+  verdict is one shared :class:`DeviceVerdict` per rule row.
 
 The analysis starts from :func:`linalg.scaled_inverse` of the adjacency
 matrix, which returns a scaled inverse or raises
 :class:`SingularMatrixError` with the exact kernel basis that borders the
-matrix; it alone chooses between its modular and exact routes.  The tests
-compare all of this with an independent reference in ``tests/conftest.py``:
-nullities of explicitly eliminated deletions and the polynomial j-test.
+matrix; it alone chooses between its modular and exact routes (from order
+``MODULAR_MIN_ORDER`` on, a singular matrix's kernel is lifted from its one
+modular elimination).  The tests compare all of this with an independent
+reference in ``tests/conftest.py``: the rule table over nullities of
+explicitly eliminated deletions and the polynomial j-test.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import linalg
 from .graphs import Graph, adjacency_matrix, connected_components, is_connected
@@ -80,8 +85,10 @@ class Rule(enum.Enum):
     NULLITY1_BLOCKS = "blocks"
 
 
-# verdicts for the determinate rows; the all-equal row maps to None (j-test)
-_DISTINCT_VERDICT = {
+# verdicts for the determinate rows, keyed by the nullity shifts (three for a
+# distinct device, one for an ipso one); the all-equal row maps to None
+# (j-test)
+_TABLE = {
     (1, 1, 2): False,
     (1, 1, 0): True,
     (1, 0, 1): False,
@@ -93,9 +100,10 @@ _DISTINCT_VERDICT = {
     (-1, -1, 0): True,
     (-1, -1, -1): True,
     (-1, -1, -2): False,
+    (1,): False,
+    (0,): True,
+    (-1,): True,
 }
-
-_IPSO_VERDICT = {(1,): False, (0,): True, (-1,): True}
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,13 @@ class DeviceVerdict:
     rule: Rule
 
 
+# one shared verdict per determinate table row, per j-test outcome, for the
+# core/core pairs of a nullity-1 graph and per booleanised inverse entry
+_ROW_VERDICT = {row: DeviceVerdict(conducts, Rule(row))
+                for row, conducts in _TABLE.items() if conducts is not None}
+_JTEST_VERDICT = {conducts: DeviceVerdict(conducts, Rule.EQUAL_NULLITY_JTEST)
+                  for conducts in (False, True)}
+_BLOCKS_VERDICT = DeviceVerdict(True, Rule.NULLITY1_BLOCKS)
 _INVERSE_CONDUCTS = DeviceVerdict(True, Rule.INVERSE_PATTERN)
 _INVERSE_INSULATES = DeviceVerdict(False, Rule.INVERSE_PATTERN)
 
@@ -208,20 +223,18 @@ def _signature(analysis: BorderedAdjugate, u: int, v: int) -> NullitySignature:
 
 
 def _verdict_from_signature(u, v, sig: NullitySignature, jtest) -> DeviceVerdict:
-    deltas = sig.deltas()
-    if sig.eta_guv is None:
-        try:
-            conducts = _IPSO_VERDICT[deltas]
-        except KeyError:
-            raise SignatureError(f"impossible ipso signature {sig}") from None
-        return DeviceVerdict(conducts, Rule(deltas))
-    try:
-        conducts = _DISTINCT_VERDICT[deltas]
-    except KeyError:
-        raise SignatureError(f"impossible distinct signature {sig}") from None
-    if conducts is None:
-        return DeviceVerdict(jtest(u, v), Rule.EQUAL_NULLITY_JTEST)
-    return DeviceVerdict(conducts, Rule(deltas))
+    return _table_verdict(sig.deltas(), u, v, jtest)
+
+
+def _table_verdict(deltas, u, v, jtest) -> DeviceVerdict:
+    """The table row's verdict for the nullity shifts ``deltas`` of the
+    device (u, v); ``jtest(u, v)`` decides the all-equal row."""
+    verdict = _ROW_VERDICT.get(deltas)
+    if verdict is None:
+        if deltas != (0, 0, 0):
+            raise SignatureError(f"impossible nullity shifts {deltas} at ({u},{v})")
+        verdict = _JTEST_VERDICT[bool(jtest(u, v))]
+    return verdict
 
 
 def device_verdict(g: Graph, u: int, v: int) -> DeviceVerdict:
@@ -260,7 +273,9 @@ class BorderedAdjugate:
     rank of adj(M) on the rows and columns of S and the border, that is of
     K = [[X, B], [B^T, 0]] with X the S x S block and B the rows S in the
     border columns.  rank K = 2 rank B + rank(N^T X N), N spanning the left
-    kernel of B, which gives each eta(G-S) with |S| <= 2 in O(eta).
+    kernel of B.  Each border row is split once into a scale and a primitive
+    direction, so for |S| <= 2 rank B is a comparison of directions and
+    N^T X N a quadratic form in the two scales.
 
     Every test made on ``adj`` is homogeneous in its entries, so any nonzero
     multiple of adj(M) gives the same answers; ``adj`` is the X of
@@ -269,43 +284,53 @@ class BorderedAdjugate:
     carries it; with an empty ``kernel`` a singular A raises that error.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "eta", "adj", "scale", "direction")
 
     def __init__(self, a, kernel: list[list[int]]):
         bordered = [list(row) + [vec[i] for vec in kernel]
                     for i, row in enumerate(a)]
         bordered += [vec + [0] * len(kernel) for vec in kernel]
-        self.n = len(a)
-        self.adj = linalg.scaled_inverse(bordered)[1]
+        self._load(len(a), linalg.scaled_inverse(bordered)[1])
 
-    @property
-    def eta(self) -> int:
-        return len(self.adj) - self.n
+    def _load(self, n: int, adj) -> None:
+        """Take ``adj``, a nonzero multiple of adj(M) for a graph of order n,
+        and read each vertex's border row b_u once, as
+        scale[u] * direction[u] with direction[u] primitive and its first
+        nonzero entry positive (scale 0 for a zero row): two rows are
+        parallel exactly when their directions match."""
+        self.n, self.eta, self.adj = n, len(adj) - n, adj
+        self.scale = [0] * n
+        self.direction = [()] * n
+        if self.eta:
+            for u, row in enumerate(adj[:n]):
+                b = row[n:]
+                g = gcd(*b)
+                if g:
+                    if next(x for x in b if x) < 0:
+                        g = -g
+                    self.scale[u] = g
+                    self.direction[u] = tuple(x // g for x in b)
 
     def nullity(self, *deleted: int) -> int:
         """eta(G - deleted) for at most two distinct deleted vertices."""
-        eta, n, adj = self.eta, self.n, self.adj
+        eta, adj, scale = self.eta, self.adj, self.scale
         if not deleted:
             return eta
         if len(deleted) == 1:
             u, = deleted
-            if any(adj[u][n:]):
+            if scale[u]:
                 return eta - 1
             return eta + 1 - (adj[u][u] != 0)
         u, v = deleted
-        bu, bv = adj[u][n:], adj[v][n:]
-        if not any(bu):
-            u, v, bu, bv = v, u, bv, bu
-        j = next((k for k, x in enumerate(bu) if x), None)
-        if j is None:  # B = 0: the nullity of X alone
-            xuu, xuv, xvv = adj[u][u], adj[u][v], adj[v][v]
+        su, sv = scale[u], scale[v]
+        xuu, xuv, xvv = adj[u][u], adj[u][v], adj[v][v]
+        if not (su or sv):  # B = 0: the nullity of X alone
             rank_x = 2 if xuu * xvv != xuv * xuv else int(bool(xuu or xuv or xvv))
             return eta + 2 - rank_x
-        p, q = bu[j], bv[j]
-        if any(p * y != q * x for x, y in zip(bu, bv)):
+        if su and sv and self.direction[u] != self.direction[v]:
             return eta - 2  # rank B = 2
-        # rank B = 1, left kernel spanned by (q, -p)
-        quad = adj[u][u] * q * q - 2 * adj[u][v] * p * q + adj[v][v] * p * p
+        # rank B = 1, left kernel spanned by (sv, -su)
+        quad = xuu * sv * sv - 2 * xuv * su * sv + xvv * su * su
         return eta - (quad != 0)
 
     def conducts(self, u: int, v: int) -> bool:
@@ -340,8 +365,7 @@ def conduction_graph(g: Graph) -> ConductionGraph:
     """
     analysis = analyse(g)
     if analysis.eta:
-        graph, verdicts = _walk(g.n, analysis.eta, analysis.nullity,
-                                analysis.conducts)
+        graph, verdicts = _walk(analysis)
         return ConductionGraph(graph, verdicts, analysis.eta, analysis)
     rows, loops = _pattern(analysis.adj)
     verdicts = {}
@@ -355,43 +379,41 @@ def conduction_graph(g: Graph) -> ConductionGraph:
     return ConductionGraph(Graph(g.n, rows, loops), verdicts, 0)
 
 
-# single-deletion shifts (sorted descending) that fit exactly one table row
-_FORCED_ROW = {(1, -1): (1, -1, 0), (0, -1): (0, -1, -1)}
+def _walk(analysis: BorderedAdjugate) -> tuple[Graph, dict]:
+    """Every device of a singular graph through the selection rules.
 
-
-def _walk(n: int, eta: int, nullity, jtest) -> tuple[Graph, dict]:
-    """Every device of a graph through the selection rules.
-
-    ``nullity(*deleted)`` gives eta(G - deleted) for one or two vertices and
-    ``jtest(u, v)`` decides an equal-nullity device.  eta(G-u-v) is asked
-    for only where the single-deletion shifts leave the row open.  A
+    The single-deletion shifts eta(G-v) - eta come first; eta(G-u-v) is
+    asked for only where the shifts of u and v leave the row open.  A
     core/non-core pair, shifts (1,-1) or (0,-1), fits one row, and both such
     rows insulate.  A core/core pair of a nullity-1 graph, shifts (-1,-1),
     conducts, because the insulating row would need eta(G-u-v) = -1; that
-    verdict is recorded as ``Rule.NULLITY1_BLOCKS``.
+    verdict is recorded as ``Rule.NULLITY1_BLOCKS``.  Every verdict is a
+    shared constant (``_ROW_VERDICT`` and its kin): no signature or verdict
+    object is built per device.
     """
+    n, eta, nullity = analysis.n, analysis.eta, analysis.nullity
     shift = [nullity(v) - eta for v in range(n)]
+    # single-deletion shifts (sorted descending) that settle the pair
+    forced = {(1, -1): _ROW_VERDICT[(1, -1, 0)],
+              (0, -1): _ROW_VERDICT[(0, -1, -1)]}
+    if eta == 1:
+        forced[(-1, -1)] = _BLOCKS_VERDICT
     verdicts = {}
     rows = [0] * n
     loops = 0
     for u in range(n):
-        sig = NullitySignature(eta, eta + shift[u], eta + shift[u], None)
-        dv = _verdict_from_signature(u, u, sig, jtest)
+        su = shift[u]
+        dv = _table_verdict((su,), u, u, analysis.conducts)
         verdicts[(u, u)] = dv
         if dv.conducts:
             loops |= 1 << u
         for v in range(u + 1, n):
-            pair = (shift[u], shift[v]) if shift[u] >= shift[v] \
-                else (shift[v], shift[u])
-            row = _FORCED_ROW.get(pair)
-            if row is not None:
-                dv = DeviceVerdict(_DISTINCT_VERDICT[row], Rule(row))
-            elif pair == (-1, -1) and eta == 1:
-                dv = DeviceVerdict(True, Rule.NULLITY1_BLOCKS)
-            else:
-                sig = NullitySignature(eta, eta + shift[u], eta + shift[v],
-                                       nullity(u, v))
-                dv = _verdict_from_signature(u, v, sig, jtest)
+            sv = shift[v]
+            pair = (su, sv) if su >= sv else (sv, su)
+            dv = forced.get(pair)
+            if dv is None:
+                dv = _table_verdict(pair + (nullity(u, v) - eta,), u, v,
+                                    analysis.conducts)
             verdicts[(u, v)] = dv
             if dv.conducts:
                 rows[u] |= 1 << v

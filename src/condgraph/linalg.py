@@ -15,7 +15,12 @@ well.  The `fractions.Fraction` inverse the tests compare against lives in
 p = 2**31 - 1 in numpy int64.  That arithmetic is exact, not approximate:
 residues stay below 2**31, so every product of two is below 2**62.  No
 modular result is used before the integer check A X = d I holds, which makes
-X exactly d A^-1; when the check fails the echelon decides.
+X exactly d A^-1.  A column without a pivot modulo p is skipped, and the
+reduced echelon then gives one kernel vector per free column, lifted by
+rational reconstruction (Wang, Guy & Davenport 1982; Dixon 1982) and raised
+only once A z = 0 holds in the integers for every vector, which certifies it
+as the basis of :func:`kernel_basis`.  When a check or a lift fails the
+echelon decides.
 
 A stack of matrices of one order, such as a census chunk of graphs, goes
 through :func:`modular_adjugates`: the same Gauss-Jordan, each row operation
@@ -35,7 +40,7 @@ scale of the problem: dense, symmetric, order <= 64.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -229,14 +234,17 @@ def scaled_inverse(a) -> tuple[int, list[list[int]]]:
     From order :data:`MODULAR_MIN_ORDER` on, Gauss-Jordan modulo one prime
     is tried first (:func:`_modular_inverse`); its X has the zero pattern and
     the submatrix ranks of adj(A), and equals it whenever det(A) and every
-    cofactor lie in (-p/2, p/2).  When it returns nothing, A may be singular:
-    the kernel is read from the echelon of A alone, and only an empty kernel
-    (p divides det(A), or the lifted pair failed its check) leads on to the
-    echelon of [A | I].  Below that order the echelon of [A | I] = [U | R]
-    decides at once: at full rank, integer back-substitution of U X = d R
-    with d = det(A) gives X = adj(A), every division exact.  A singular A
-    raises :class:`SingularMatrixError` with the kernel basis, which is that
-    of the left block, the echelon of A itself.
+    cofactor lie in (-p/2, p/2).  When it finds no pivot in some column, the
+    same elimination yields a kernel basis by rational reconstruction, used
+    only once A z = 0 holds in the integers for every vector.  When it
+    decides nothing, A may still be singular: the kernel is read from the
+    echelon of A alone, and only an empty kernel (p divides det(A), or the
+    lifted pair failed its check) leads on to the echelon of [A | I].  Below
+    that order the echelon of [A | I] = [U | R] decides at once: at full
+    rank, integer back-substitution of U X = d R with d = det(A) gives
+    X = adj(A), every division exact.  A singular A raises
+    :class:`SingularMatrixError` with the kernel basis, which is that of the
+    left block, the echelon of A itself.
     """
     n = len(a)
     if n >= MODULAR_MIN_ORDER:
@@ -263,16 +271,20 @@ def scaled_inverse(a) -> tuple[int, list[list[int]]]:
 
 
 def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
-    """(d, X) with A X = d I exactly and d != 0, X an int64 array, or None.
+    """(d, X) with A X = d I exactly and d != 0, X an int64 array, or None;
+    raises :class:`SingularMatrixError` with a kernel basis it certified.
 
     Gauss-Jordan on [A | I] modulo p = :data:`MODULUS` gives det(A) and
     adj(A) modulo p; :func:`_lift_and_check` returns the pair only when the
-    integer product A X equals d I.  None means that p divides det(A) (A
-    singular included) or that the lifted residues are not d A^-1.  A matrix
-    with a row whose absolute sum exceeds 2**31 is refused before anything
-    reaches numpy.  Only the rows that hold a nonzero entry in the pivot
-    column are updated, which suits one sparse matrix; a stack of them goes
-    through :func:`modular_adjugates`.
+    integer product A X equals d I.  A column without a pivot is skipped, and
+    the reduced echelon of A then gives a kernel basis modulo p, which
+    :func:`_lifted_kernel` lifts and checks.  None means that the lifted
+    residues are neither d A^-1 nor the kernel (p divides det(A) of a
+    nonsingular A, an entry beyond the reconstruction bound, or rank modulo
+    p below the rank).  A matrix with a row whose absolute sum exceeds
+    2**31 is refused before anything reaches numpy.  Only the rows that hold
+    a nonzero entry in the pivot column are updated, which suits one sparse
+    matrix; a stack of them goes through :func:`modular_adjugates`.
     """
     p = MODULUS
     n = len(a)
@@ -283,24 +295,94 @@ def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
     m[:, :n] = ai % p
     m[:, n:] = np.eye(n, dtype=np.int64)
     d = 1
+    pivots = []  # the pivot column of each row of the echelon so far
     for c in range(n):
-        nonzero = np.flatnonzero(m[c:, c])
+        r = len(pivots)
+        nonzero = np.flatnonzero(m[r:, c])
         if not len(nonzero):
-            return None  # det(A) = 0 mod p
-        r = c + int(nonzero[0])
-        if r != c:
-            m[[c, r]] = m[[r, c]]
+            continue  # a free column: det(A) = 0 mod p
+        k = r + int(nonzero[0])
+        if k != r:
+            m[[r, k]] = m[[k, r]]
             d = p - d
-        pivot = int(m[c, c])
+        pivot = int(m[r, c])
         d = d * pivot % p
-        m[c] = m[c] * pow(pivot, p - 2, p) % p
+        m[r] = m[r] * pow(pivot, p - 2, p) % p
         col = m[:, c].copy()
-        col[c] = 0
+        col[r] = 0
         hit = np.flatnonzero(col)
         if len(hit):
-            m[hit] = (m[hit] - np.outer(col[hit], m[c])) % p
+            m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
+        pivots.append(c)
+    if len(pivots) < n:
+        kernel = _lifted_kernel(a, m[:len(pivots), :n].tolist(), pivots)
+        if kernel is None:
+            return None
+        raise SingularMatrixError(kernel)
     ok, d, x = _lift_and_check(ai, m[:, n:], np.int64(d))
     return (int(d), x) if ok else None
+
+
+def _lifted_kernel(a, rref, pivots) -> "list[list[int]] | None":
+    """The kernel basis of A (as :func:`kernel_basis` gives it) lifted from
+    the reduced echelon form ``rref`` of A modulo p, or None.
+
+    Free column f gives the residue vector with 1 at f, 0 at the other free
+    columns and -rref[i][f] at the pivot column of row i.  Each entry is
+    lifted to the fraction with |numerator|, denominator <= isqrt(p/2) that
+    it represents modulo p, and the vector is scaled to a primitive integer
+    vector whose first nonzero entry is positive.  All of them are returned
+    only when A z = 0 holds in the integers for every one.  Then the n - r
+    vectors, r the rank modulo p, are independent vectors of the kernel over
+    Q, whose dimension is at most n - r because the rank modulo p never
+    exceeds the rank: they span it.  Vector f has its last nonzero entry at
+    f, so every free column modulo p is a free column of the exact echelon,
+    and there are as many of each: each vector is the one
+    :func:`kernel_basis` returns for its free column.
+    """
+    p = MODULUS
+    n = len(a)
+    bound = isqrt(p // 2)
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    pivot_cols = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        fractions = [(0, 1)] * n
+        fractions[free] = (1, 1)
+        for row, col in zip(rref, pivots):
+            if col > free:
+                break  # reduced rows are zero left of their pivot
+            lifted = _rational(-row[free] % p, p, bound)
+            if lifted is None:
+                return None
+            fractions[col] = lifted
+        den = lcm(*(q for _, q in fractions))
+        vec = [num * (den // q) for num, q in fractions]
+        g = gcd(*vec) if next(x for x in vec if x) > 0 else -gcd(*vec)
+        vec = [x // g for x in vec]
+        if any(sum(x * vec[j] for j, x in row) for row in nonzero):
+            return None
+        basis.append(vec)
+    return basis
+
+
+def _rational(r: int, p: int, bound: int) -> "tuple[int, int] | None":
+    """(num, den) with num = den * r mod p, |num| <= bound and
+    0 < den <= bound, or None (Wang's rational reconstruction: the extended
+    Euclidean algorithm on (p, r), stopped at the first remainder within the
+    bound).  With 2 bound**2 < p there is at most one such fraction in
+    lowest terms."""
+    r0, r1 = p, r
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _lift_and_check(a, inverse, d):

@@ -17,9 +17,9 @@ import pytest
 
 from condgraph import linalg
 from condgraph.census import enumerate_connected
-from condgraph.conduction import (ConductionGraph, NullitySignature, _sub_char_poly,
-                                  _sub_matrix, _verdict_from_signature, _walk,
-                                  inverse_conduction_pattern)
+from condgraph.conduction import (ConductionGraph, DeviceVerdict, NullitySignature,
+                                  Rule, _sub_char_poly, _sub_matrix,
+                                  _verdict_from_signature, inverse_conduction_pattern)
 from condgraph.graphs import Graph, is_connected
 from condgraph.linalg import SingularMatrixError
 
@@ -287,13 +287,33 @@ def reference_device(g: Graph, u: int, v: int):
 
 
 def conduction_by_rules(g: Graph) -> ConductionGraph:
-    """The walk over directly eliminated deletions and the polynomial
-    j-test."""
+    """Every device through the selection-rule table over directly
+    eliminated deletions (eta(G-u-v) for every pair) and the polynomial
+    j-test; no shortcut of the production walk.  A core/core pair of a
+    nullity-1 graph keeps its table verdict under the walk's label,
+    ``Rule.NULLITY1_BLOCKS``."""
+    n = g.n
     eta = sub_nullity(g, 0)
-    graph, verdicts = _walk(
-        g.n, eta, lambda *deleted: sub_nullity(g, sum(1 << v for v in deleted)),
-        make_jtester(g, eta))
-    return ConductionGraph(graph, verdicts, eta)
+    single = [sub_nullity(g, 1 << v) for v in range(n)]
+    jtest = make_jtester(g, eta)
+    verdicts = {}
+    rows = [0] * n
+    loops = 0
+    for u in range(n):
+        for v in range(u, n):
+            sig = NullitySignature(
+                eta, single[u], single[v],
+                None if u == v else sub_nullity(g, 1 << u | 1 << v))
+            dv = _verdict_from_signature(u, v, sig, jtest)
+            if u != v and eta == 1 and single[u] == single[v] == 0:
+                dv = DeviceVerdict(dv.conducts, Rule.NULLITY1_BLOCKS)
+            verdicts[(u, v)] = dv
+            if dv.conducts and u == v:
+                loops |= 1 << u
+            elif dv.conducts:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return ConductionGraph(Graph(n, rows, loops), verdicts, eta)
 
 
 def ucg_by_deletions(g: Graph) -> bool:

@@ -18,11 +18,13 @@ from condgraph.classify import (class_code, classification_report,
                                 is_nut, is_uniform_core_graph)
 from condgraph.conduction import conduction_graph, inverse_conduction_pattern
 from condgraph.fixtures import fixture
-from condgraph.graphs import (Graph, bipartition, complete_bipartite_graph,
-                              complete_graph, cycle_graph, is_connected, path_graph)
+from condgraph.graphs import (Graph, adjacency_matrix, bipartition,
+                              complete_bipartite_graph, complete_graph, cycle_graph,
+                              is_connected, path_graph)
 from condgraph.isomorphism import are_isomorphic
 
-from conftest import cubic_degree_theorem_check, cubic_with_twins, ucg_by_deletions
+from conftest import (count_linalg_calls, cubic_degree_theorem_check, cubic_with_twins,
+                      ucg_by_deletions)
 
 
 def test_ipso_omni_insulator_examples():
@@ -39,6 +41,24 @@ def test_nut_examples(connected_upto_7):
     assert is_nut(k1, include_trivial=True)
     # frozen against the public nut census: exactly 3 nut graphs of order 7
     assert sum(1 for g in connected_upto_7[7] if is_nut(g)) == 3
+
+
+def test_is_nut_reads_the_analysis(connected_upto_7, monkeypatch):
+    # the definition (nullity one, nowhere-zero kernel vector) on every
+    # connected graph with n <= 7, with no kernel basis of its own; looped
+    # or disconnected input is no nut and raises nothing
+    expected = {}
+    for n in range(2, 8):
+        for g in connected_upto_7[n]:
+            basis = linalg.kernel_basis(adjacency_matrix(g))
+            expected[g] = len(basis) == 1 and all(basis[0])
+    counts = count_linalg_calls(monkeypatch, "kernel_basis")
+    assert {g: is_nut(g) for g in expected} == expected
+    assert sum(expected.values()) == 3
+    assert not is_nut(Graph.from_edges(3, [(0, 1), (1, 2)], loops=[0]))
+    assert not is_nut(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    assert not is_nut(Graph.from_edges(1, [], loops=[0]), include_trivial=True)
+    assert counts == {"kernel_basis": 0}
 
 
 def test_nut_graphs_are_nonbipartite_leafless(connected_upto_7):

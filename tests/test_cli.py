@@ -218,6 +218,22 @@ def test_census_refuses_fewer_than_one_job(capsys, tmp_path):
         assert not outdir.exists()
 
 
+@pytest.mark.parametrize("option", ["--jobs", "--shards"])
+def test_census_without_a_store_refuses_fewer_than_one(capsys, tmp_path, option):
+    # the in-memory census runs no shards or jobs, but checks them as well;
+    # with the bare enumeration and with an ingested file
+    path = tmp_path / "in.g6"
+    path.write_text("Ch\n")
+    for value in ("0", "-2"):
+        for source in (("--n", "5"), ("--ingest", str(path))):
+            code, out, err = run(capsys, "census", "--mode", "connected",
+                                 *source, option, value)
+            assert code == 2 and out == "" and option in err
+    code, out, _ = run(capsys, "census", "--mode", "connected", "--n", "5",
+                       option, "1")
+    assert code == 0 and out == "5,21,0,0\n"
+
+
 def test_conduct_reads_stdin():
     src = str(Path(condgraph.__file__).resolve().parents[1])
     env = dict(os.environ,

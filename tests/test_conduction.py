@@ -19,8 +19,8 @@ from condgraph.graphs import (Graph, adjacency_matrix, complete_bipartite_graph,
 from condgraph.isomorphism import are_isomorphic, canonical_form
 from condgraph.linalg import char_poly_and_adjugate, det, kernel_basis
 
-from conftest import (conduction_by_rules, count_linalg_calls, fraction_inverse,
-                      reference_device, sub_nullity)
+from conftest import (conduction_by_rules, count_linalg_calls, cubic_with_twins,
+                      fraction_inverse, reference_device, sub_nullity)
 
 
 def test_booleanise_examples():
@@ -263,30 +263,58 @@ def _singular_connected(max_n):
                 yield g
 
 
+def _assert_matches_rules(g):
+    # graph, nullity and every verdict of conduction_graph against the rule
+    # table over direct deletions; the inverse route labels its verdicts by
+    # the booleanised inverse instead of a table row
+    cg, ref = conduction_graph(g), conduction_by_rules(g)
+    assert (cg.graph, cg.nullity) == (ref.graph, ref.nullity), g
+    if cg.nullity:
+        assert cg.verdicts == ref.verdicts, g
+    else:
+        assert {k: (v.conducts, v.rule) for k, v in cg.verdicts.items()} \
+            == {k: (v.conducts, Rule.INVERSE_PATTERN)
+                for k, v in ref.verdicts.items()}, g
+
+
+def test_conduction_graph_matches_the_rule_table(connected_upto_7):
+    # every device of every connected graph with n <= 7
+    for n in range(1, 8):
+        for g in connected_upto_7[n]:
+            _assert_matches_rules(g)
+
+
+def test_conduction_graph_matches_the_rule_table_at_modular_orders():
+    # singular graphs from MODULAR_MIN_ORDER on, whose kernel is lifted from
+    # the modular elimination: nullity 2, 1, 2 and the twins' cubic graph
+    graphs = (cycle_graph(16), path_graph(17), cycle_graph(20),
+              cubic_with_twins(16))
+    for g in graphs:
+        assert g.n >= linalg.MODULAR_MIN_ORDER and graph_nullity(g)
+        _assert_matches_rules(g)
+
+
 def test_bordered_route_matches_rule_walk():
-    # the production route against the walk over direct deletions and the
-    # polynomial j-test: every singular connected graph with n <= 8, plus
+    # the production route against the rule table over direct deletions and
+    # the polynomial j-test: every singular connected graph with n <= 8, plus
     # larger singular graphs of nullity 2, 1, 29 and 24
     checked = 0
     for g in _singular_connected(8):
-        assert conduction_graph(g).graph == conduction_by_rules(g).graph, g
+        _assert_matches_rules(g)
         checked += 1
     assert checked == 5982
     for g in (cycle_graph(40), path_graph(41), star_graph(30),
               complete_bipartite_graph(6, 20)):
-        cg = conduction_graph(g)
-        ref = conduction_by_rules(g)
-        assert cg.graph == ref.graph, g
-        assert cg.verdicts == ref.verdicts, g
+        _assert_matches_rules(g)
 
 
 def test_conduction_graph_eliminations_per_graph(monkeypatch):
-    # one echelon of [A | I] decides singularity and gives the kernel basis;
-    # the bordered matrix of C40 and P41 passes the modular check.  The walk
-    # over direct deletions eliminates once per vertex and per open pair (821
-    # for C40).  A nonsingular graph below the crossover gets its adjugate
-    # from one echelon; a large one passes the modular check and eliminates
-    # nothing.
+    # C40 and P41 get their kernel basis lifted from the modular elimination
+    # of A, and the bordered matrix passes the modular check: no exact
+    # echelon at all.  (The rule table over direct deletions eliminates once
+    # per vertex and per pair, 821 times for C40.)  A nonsingular graph below
+    # the crossover gets its adjugate from one echelon; a large one passes
+    # the modular check and eliminates nothing.
     calls = []
     real = linalg._echelon
 
@@ -298,7 +326,7 @@ def test_conduction_graph_eliminations_per_graph(monkeypatch):
     for g in (cycle_graph(40), path_graph(41)):
         calls.clear()
         conduction_graph(g)
-        assert len(calls) <= 1, (g, len(calls))
+        assert calls == [], (g, calls)
     calls.clear()
     conduction_graph(cycle_graph(6))
     assert calls == [6]
@@ -400,8 +428,7 @@ def test_bordered_adjugate_from_a_scaled_inverse(monkeypatch, connected_upto_7):
                 continue
             analysis = _analysis(g)
             scaled = BorderedAdjugate.__new__(BorderedAdjugate)
-            scaled.n = n
-            scaled.adj = [[-3 * x for x in row] for row in analysis.adj]
+            scaled._load(n, [[-3 * x for x in row] for row in analysis.adj])
             for u in range(n):
                 assert analysis.nullity(u) == sub_nullity(g, 1 << u), (g, u)
                 assert scaled.nullity(u) == analysis.nullity(u), (g, u)

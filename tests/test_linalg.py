@@ -1,7 +1,7 @@
 """Exact linear algebra against brute-force and floating oracles."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -299,12 +299,14 @@ def test_scaled_inverse_matches_det_adjugate_and_kernel(m):
 @settings(max_examples=100, deadline=None)
 @given(small_int_matrices)
 def test_modular_inverse_is_the_adjugate_on_small_matrices(m):
-    # the modular half: every cofactor of these matrices is far below p/2
-    found = linalg._modular_inverse(m)
+    # the modular half: every minor of these matrices is far below p/2, so a
+    # nonsingular one gets its adjugate and a singular one its exact kernel
     if rank(m) < len(m):
-        assert found is None
+        with pytest.raises(SingularMatrixError) as err:
+            linalg._modular_inverse(m)
+        assert err.value.kernel == kernel_basis(m)
     else:
-        d, x = found
+        d, x = linalg._modular_inverse(m)
         assert (d, x.tolist()) == (det(m), char_poly_and_adjugate(m)[1])
 
 
@@ -420,25 +422,68 @@ def test_small_modulus_keeps_the_modular_verdicts_exact(connected_upto_7,
         assert seen == {linalg.ADJUGATE, linalg.SINGULAR, linalg.UNDECIDED}
 
 
-def test_singular_matrix_of_modular_order_skips_the_augmented_echelon(monkeypatch):
-    # from MODULAR_MIN_ORDER on, a matrix without a pivot modulo p gets its
-    # kernel from the echelon of A alone, the kernel that the echelon of
-    # [A | I] gave
-    real = linalg._echelon
+def _count_echelons(monkeypatch):
     widths = []
+    real = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon",
                         lambda a: widths.append(len(a[0])) or real(a))
-    for g in (cycle_graph(40), path_graph(41), cycle_graph(16), path_graph(17),
-              cubic_with_twins(38), cubic_with_twins(40)):
+    return widths
+
+
+def test_singular_matrix_of_modular_order_skips_the_augmented_echelon(monkeypatch):
+    # from MODULAR_MIN_ORDER on, a matrix without a pivot modulo p gets its
+    # kernel from the modular elimination, lifted and checked, without any
+    # exact echelon; it is the basis of kernel_basis and of the echelon of
+    # [A | I]
+    graphs = (cycle_graph(40), path_graph(41), cycle_graph(16), path_graph(17),
+              cubic_with_twins(38), cubic_with_twins(40))
+    expected = []
+    for g in graphs:
         a = A(g)
         assert len(a) >= linalg.MODULAR_MIN_ORDER
-        m, pivots, _ = real([row + [int(i == j) for j in range(len(a))]
-                             for i, row in enumerate(a)])
+        m, pivots, _ = linalg._echelon([row + [int(i == j) for j in range(len(a))]
+                                        for i, row in enumerate(a)])
+        assert linalg._kernel(m, pivots, len(a)) == kernel_basis(a)
+        expected.append(kernel_basis(a))
+    widths = _count_echelons(monkeypatch)
+    for g, kernel in zip(graphs, expected):
+        with pytest.raises(SingularMatrixError) as err:
+            scaled_inverse(A(g))
+        assert err.value.kernel == kernel
+    assert widths == []
+
+
+def test_rational_reconstruction():
+    p = MODULUS
+    bound = isqrt(p // 2)
+    assert 2 * bound * bound < p
+    for num, den in ((0, 1), (1, 1), (-1, 1), (3, 7), (-bound, bound - 1),
+                     (bound, 1), (-5, bound - 1)):
+        assert linalg._rational(num * pow(den, -1, p) % p, p, bound) == (num, den)
+    # beyond the bound: 40000 has no representative within it
+    assert linalg._rational(40000, p, bound) is None
+
+
+def test_lifted_kernel_falls_back_to_the_echelon(monkeypatch):
+    # order 16, and a lift that fails either way: a kernel entry 40000 beyond
+    # isqrt(p/2), and a rank that drops modulo p, where the residue vector
+    # lifts to small integers but is not in the kernel; each time the exact
+    # echelon of A gives the basis
+    n = 16
+    big = [[int(i == j) for j in range(n)] for i in range(n)]
+    big[0][1], big[1][1] = -40000, 0
+    drop = [[int(i == j) for j in range(n)] for i in range(n)]
+    drop[0][0], drop[0][1], drop[1][1] = MODULUS, 1, 0
+    assert kernel_basis(big) == [[40000, 1] + [0] * (n - 2)]
+    assert kernel_basis(drop) == [[1, -MODULUS] + [0] * (n - 2)]
+    widths = _count_echelons(monkeypatch)
+    for a in (big, drop):
+        assert linalg._modular_inverse(a) is None
         widths.clear()
         with pytest.raises(SingularMatrixError) as err:
             scaled_inverse(a)
-        assert err.value.kernel == linalg._kernel(m, pivots, len(a))
-        assert widths == [len(a)]
+        assert err.value.kernel == kernel_basis(a)
+        assert widths[0] == n
 
 
 # ---------------------------------------------------------------------------
