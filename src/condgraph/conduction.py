@@ -32,14 +32,14 @@ by one of two routes, chosen by the nullity:
   border row is read once, as a scale and a primitive direction, and every
   verdict is one shared :class:`DeviceVerdict` per rule row.
 
-The analysis starts from :func:`linalg.scaled_inverse` of the adjacency
-matrix, which returns a scaled inverse or raises
-:class:`SingularMatrixError` with the exact kernel basis that borders the
-matrix; it alone chooses between its modular and exact routes (from order
-``MODULAR_MIN_ORDER`` on, a singular matrix's kernel is lifted from its one
-modular elimination).  The tests compare all of this with an independent
-reference in ``tests/conftest.py``: the rule table over nullities of
-explicitly eliminated deletions and the polynomial j-test.
+The analysis is :func:`linalg.bordered_inverse` of the adjacency matrix:
+the exact kernel basis Z and d M^-1 for M = A bordered by Z, which it alone
+routes.  From order ``MODULAR_MIN_ORDER`` on a singular graph costs one
+Gauss-Jordan modulo p: the elimination that finds and lifts Z goes on to
+eliminate M, and each result is used only after its integer check.  The
+tests compare all of this with an independent reference in
+``tests/conftest.py``: the rule table over nullities of explicitly
+eliminated deletions and the polynomial j-test.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from math import gcd
 
 from . import linalg
 from .graphs import Graph, adjacency_matrix, connected_components, is_connected
-from .linalg import IntPolynomial, SingularMatrixError
+from .linalg import IntPolynomial
 
 
 class SignatureError(RuntimeError):
@@ -279,20 +279,13 @@ class BorderedAdjugate:
 
     Every test made on ``adj`` is homogeneous in its entries, so any nonzero
     multiple of adj(M) gives the same answers; ``adj`` is the X of
-    :func:`linalg.scaled_inverse`, d M^-1 with d != 0.  ``kernel`` is the
-    kernel basis of A, as :class:`~condgraph.linalg.SingularMatrixError`
-    carries it; with an empty ``kernel`` a singular A raises that error.
+    :func:`linalg.bordered_inverse`, d M^-1 with d != 0, whose order past n
+    is the nullity.
     """
 
     __slots__ = ("n", "eta", "adj", "scale", "direction")
 
-    def __init__(self, a, kernel: list[list[int]]):
-        bordered = [list(row) + [vec[i] for vec in kernel]
-                    for i, row in enumerate(a)]
-        bordered += [vec + [0] * len(kernel) for vec in kernel]
-        self._load(len(a), linalg.scaled_inverse(bordered)[1])
-
-    def _load(self, n: int, adj) -> None:
+    def __init__(self, n: int, adj):
         """Take ``adj``, a nonzero multiple of adj(M) for a graph of order n,
         and read each vertex's border row b_u once, as
         scale[u] * direction[u] with direction[u] primitive and its first
@@ -340,15 +333,12 @@ class BorderedAdjugate:
 
 def analyse(g: Graph, *contacts: int) -> BorderedAdjugate:
     """The analysis every verdict on a connected simple graph reads: d A^-1
-    when A is nonsingular, else the adjugate of A bordered by the kernel
-    basis that :func:`linalg.scaled_inverse` raised with.  ``contacts``, if
-    given, must be vertices of g."""
+    when A is nonsingular, else the adjugate of A bordered by its kernel
+    basis, both from :func:`linalg.bordered_inverse` (one modular
+    elimination from ``MODULAR_MIN_ORDER`` on).  ``contacts``, if given, must
+    be vertices of g."""
     _require_device(g, *contacts)
-    a = adjacency_matrix(g)
-    try:
-        return BorderedAdjugate(a, [])
-    except SingularMatrixError as exc:
-        return BorderedAdjugate(a, exc.kernel)
+    return BorderedAdjugate(g.n, linalg.bordered_inverse(adjacency_matrix(g))[2])
 
 
 # ---------------------------------------------------------------------------

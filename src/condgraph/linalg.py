@@ -4,23 +4,28 @@ Everything that decides conduction is computed here without floating point.
 One fraction-free (Bareiss) elimination, :func:`_echelon`, serves every
 production answer: determinants, ranks, nullities and kernel bases (integer
 back-substitution, every division exact) from the echelon of A, and adj(A)
-or the kernel from the echelon of [A | I] in :func:`scaled_inverse`.  Integer
+or the kernel from the echelon of [A | I] (:func:`_exact_inverse`).  Integer
 characteristic polynomials come from the Faddeev-LeVerrier recurrence, for
 the transmission polynomials; only the tests read the adjugate it yields as
 well.  The `fractions.Fraction` inverse the tests compare against lives in
 ``tests/conftest.py``.
 
-:func:`scaled_inverse` alone chooses the route to an adjugate.  From order
-:data:`MODULAR_MIN_ORDER` on it first tries Gauss-Jordan modulo the prime
+:func:`scaled_inverse` chooses the route to an adjugate, and
+:func:`bordered_inverse` the route to the analysis of a symmetric matrix:
+its kernel basis Z with the scaled inverse of A bordered by Z.  From order
+:data:`MODULAR_MIN_ORDER` on both first try Gauss-Jordan modulo the prime
 p = 2**31 - 1 in numpy int64.  That arithmetic is exact, not approximate:
-residues stay below 2**31, so every product of two is below 2**62.  No
-modular result is used before the integer check A X = d I holds, which makes
-X exactly d A^-1.  A column without a pivot modulo p is skipped, and the
-reduced echelon then gives one kernel vector per free column, lifted by
-rational reconstruction (Wang, Guy & Davenport 1982; Dixon 1982) and raised
-only once A z = 0 holds in the integers for every vector, which certifies it
-as the basis of :func:`kernel_basis`.  When a check or a lift fails the
-echelon decides.
+residues stay below 2**31, so every product of two is below 2**62, and a
+product of matrices splits one factor into 16-bit limbs.  No modular result
+is used before the integer check A X = d I holds, which makes X exactly
+d A^-1.  A column without a pivot modulo p is skipped, and the reduced
+echelon then gives one kernel vector per free column, lifted by rational
+reconstruction (Wang, Guy & Davenport 1982; Dixon 1982) and raised only
+once A z = 0 holds in the integers for every vector, which certifies it as
+the basis of :func:`kernel_basis`.  For :func:`bordered_inverse` the same
+elimination then goes on over the bordered matrix M from the state it left,
+so a singular matrix costs one modular pass, and its X is used only once
+M X = d I holds.  When a check or a lift fails the echelon decides.
 
 A stack of matrices of one order, such as a census chunk of graphs, goes
 through :func:`modular_adjugates`: the same Gauss-Jordan, each row operation
@@ -240,20 +245,67 @@ def scaled_inverse(a) -> tuple[int, list[list[int]]]:
     decides nothing, A may still be singular: the kernel is read from the
     echelon of A alone, and only an empty kernel (p divides det(A), or the
     lifted pair failed its check) leads on to the echelon of [A | I].  Below
-    that order the echelon of [A | I] = [U | R] decides at once: at full
-    rank, integer back-substitution of U X = d R with d = det(A) gives
-    X = adj(A), every division exact.  A singular A raises
-    :class:`SingularMatrixError` with the kernel basis, which is that of the
-    left block, the echelon of A itself.
+    that order the echelon of [A | I] decides at once
+    (:func:`_exact_inverse`).  A singular A raises
+    :class:`SingularMatrixError` with the kernel basis; a caller that needs
+    the bordered adjugate of a singular matrix asks
+    :func:`bordered_inverse` instead.
     """
-    n = len(a)
-    if n >= MODULAR_MIN_ORDER:
+    if len(a) >= MODULAR_MIN_ORDER:
         found = _modular_inverse(a)
         if found is not None:
             return found[0], found[1].tolist()
         kernel = kernel_basis(a)
         if kernel:
             raise SingularMatrixError(kernel)
+    return _exact_inverse(a)
+
+
+def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
+    """(Z, d, X) for a symmetric integer matrix A: Z its kernel basis (as
+    :func:`kernel_basis` gives it, empty when A is nonsingular) and
+    X = d M^-1 with d != 0 for the bordered matrix M = [[A, Z], [Z^T, 0]],
+    nonsingular because A is symmetric (M = A when Z is empty).  X equals
+    adj(M) whenever det(M) and every cofactor lie in (-p/2, p/2); the exact
+    routes give adj(M) itself.
+
+    From order :data:`MODULAR_MIN_ORDER` on, one Gauss-Jordan modulo p
+    answers both (:func:`_modular_bordered`): the elimination of [A | I]
+    that finds the free columns and lifts Z goes on to eliminate M from the
+    state it left.  Z is used only once A z = 0 holds in the integers, X only
+    once M X = d I does.  A failed lift reads Z from the echelon of A; a
+    failed check, or a failed lift, leaves M to the echelon of [M | I]: no
+    matrix is eliminated modulo p twice.  Below that order A goes through
+    :func:`scaled_inverse` (the echelon of [A | I], whose left block also
+    gives Z) and M after it.
+    """
+    if len(a) >= MODULAR_MIN_ORDER:
+        kernel, found = _modular_bordered(a)
+        if found is not None:
+            return kernel, found[0], found[1].tolist()
+        if kernel is None:
+            kernel = kernel_basis(a)
+        return (kernel, *_exact_inverse(_border(a, kernel)))
+    try:
+        return ([], *scaled_inverse(a))
+    except SingularMatrixError as exc:
+        return (exc.kernel, *scaled_inverse(_border(a, exc.kernel)))
+
+
+def _border(a, kernel) -> list[list[int]]:
+    """[[A, Z], [Z^T, 0]] for the kernel vectors Z, as lists of rows."""
+    bordered = [list(row) + [vec[i] for vec in kernel]
+                for i, row in enumerate(a)]
+    return bordered + [list(vec) + [0] * len(kernel) for vec in kernel]
+
+
+def _exact_inverse(a) -> tuple[int, list[list[int]]]:
+    """(det(A), adj(A)) from the Bareiss echelon of [A | I] = [U | R]: at
+    full rank, integer back-substitution of U X = d R with d = det(A), every
+    division exact.  A singular A raises :class:`SingularMatrixError` with
+    the kernel basis, which is that of the left block, the echelon of A
+    itself."""
+    n = len(a)
     m, pivots, sign = _echelon([list(row) + [int(i == j) for j in range(n)]
                                 for i, row in enumerate(a)])
     if n and pivots[n - 1][1] >= n:
@@ -270,22 +322,14 @@ def scaled_inverse(a) -> tuple[int, list[list[int]]]:
     return d, x
 
 
-def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
-    """(d, X) with A X = d I exactly and d != 0, X an int64 array, or None;
-    raises :class:`SingularMatrixError` with a kernel basis it certified.
-
-    Gauss-Jordan on [A | I] modulo p = :data:`MODULUS` gives det(A) and
-    adj(A) modulo p; :func:`_lift_and_check` returns the pair only when the
-    integer product A X equals d I.  A column without a pivot is skipped, and
-    the reduced echelon of A then gives a kernel basis modulo p, which
-    :func:`_lifted_kernel` lifts and checks.  None means that the lifted
-    residues are neither d A^-1 nor the kernel (p divides det(A) of a
-    nonsingular A, an entry beyond the reconstruction bound, or rank modulo
-    p below the rank).  A matrix with a row whose absolute sum exceeds
-    2**31 is refused before anything reaches numpy.  Only the rows that hold
-    a nonzero entry in the pivot column are updated, which suits one sparse
-    matrix; a stack of them goes through :func:`modular_adjugates`.
-    """
+def _modular_echelon(a):
+    """Gauss-Jordan on [A | I] modulo p = :data:`MODULUS`, a column without
+    a pivot skipped: (A, [R | E], pivots, d) with A as an int64 array,
+    R = E A the reduced echelon of A (its rank-many pivot rows first),
+    ``pivots`` the pivot column of each of those rows and d the running
+    determinant of :func:`_pivot_step`, det(A) modulo p at full rank.  None
+    for an empty matrix or one with a row whose absolute sum exceeds 2**31,
+    refused before anything reaches numpy."""
     p = MODULUS
     n = len(a)
     if not n or any(sum(map(abs, row)) > _MAX_ROW_SUM for row in a):
@@ -295,32 +339,139 @@ def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
     m[:, :n] = ai % p
     m[:, n:] = np.eye(n, dtype=np.int64)
     d = 1
-    pivots = []  # the pivot column of each row of the echelon so far
+    pivots = []
     for c in range(n):
-        r = len(pivots)
-        nonzero = np.flatnonzero(m[r:, c])
-        if not len(nonzero):
-            continue  # a free column: det(A) = 0 mod p
-        k = r + int(nonzero[0])
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-            d = p - d
-        pivot = int(m[r, c])
-        d = d * pivot % p
-        m[r] = m[r] * pow(pivot, p - 2, p) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        hit = np.flatnonzero(col)
-        if len(hit):
-            m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
-        pivots.append(c)
-    if len(pivots) < n:
-        kernel = _lifted_kernel(a, m[:len(pivots), :n].tolist(), pivots)
+        stepped = _pivot_step(m, len(pivots), c, d)
+        if stepped is not None:  # else a free column: det(A) = 0 mod p
+            d = stepped
+            pivots.append(c)
+    return ai, m, pivots, d
+
+
+def _pivot_step(m, r, c, d) -> "int | None":
+    """One Gauss-Jordan step modulo p on the residue matrix m, in place:
+    the first row from r on with a nonzero entry in column c moves to row
+    r, is scaled to a unit pivot and clears column c in every other row
+    that holds a nonzero there, which suits one sparse matrix (a stack goes
+    through :func:`modular_adjugates`).  Returns d times the pivot, negated
+    by a row swap, so that d is the determinant of the rows before the steps
+    divided by that of the rows after them; None, with m untouched, when
+    column c has no pivot from row r on."""
+    p = MODULUS
+    nonzero = np.flatnonzero(m[r:, c])
+    if not len(nonzero):
+        return None
+    k = r + int(nonzero[0])
+    if k != r:
+        m[[r, k]] = m[[k, r]]
+        d = p - d
+    pivot = int(m[r, c])
+    m[r] = m[r] * pow(pivot, p - 2, p) % p
+    col = m[:, c].copy()
+    col[r] = 0
+    hit = np.flatnonzero(col)
+    if len(hit):
+        m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
+    return d * pivot % p
+
+
+def _mul_mod(x, y):
+    """x @ y modulo p for residue matrices.  x is split into 16-bit limbs,
+    so every product stays below 2**47, and for an inner dimension below
+    2**15 every sum stays below 2**63."""
+    p = MODULUS
+    return ((x >> 16) @ y % p * (1 << 16) + (x & 0xFFFF) @ y) % p
+
+
+def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
+    """(d, X) with A X = d I exactly and d != 0, X an int64 array, or None;
+    raises :class:`SingularMatrixError` with a kernel basis it certified.
+
+    :func:`_modular_echelon` gives det(A) and adj(A) modulo p;
+    :func:`_lift_and_check` returns the pair only when the integer product
+    A X equals d I.  When some column has no pivot, the reduced echelon of A
+    gives a kernel basis modulo p, which :func:`_lifted_kernel` lifts and
+    checks.  None means that the input was refused or that the lifted
+    residues are neither d A^-1 nor the kernel (p divides det(A) of a
+    nonsingular A, an entry beyond the reconstruction bound, or rank modulo
+    p below the rank).
+    """
+    first = _modular_echelon(a)
+    if first is None:
+        return None
+    ai, m, pivots, d = first
+    n, r = len(a), len(pivots)
+    if r < n:
+        kernel = _lifted_kernel(a, m[:r, :n].tolist(), pivots)
         if kernel is None:
             return None
         raise SingularMatrixError(kernel)
     ok, d, x = _lift_and_check(ai, m[:, n:], np.int64(d))
     return (int(d), x) if ok else None
+
+
+def _modular_bordered(a):
+    """(Z, (d, X)) with Z the kernel basis of A and M X = d I exactly for
+    M = [[A, Z], [Z^T, 0]], X an int64 array, from one Gauss-Jordan modulo
+    p; (Z, None) when Z is certified but M is not decided (Z is empty for a
+    nonsingular A), and (None, None) when Z is not certified either.
+
+    :func:`_modular_echelon` leaves E [A | I] = [R | E].  At full rank that
+    is :func:`_modular_inverse`'s pair.  Otherwise :func:`_lifted_kernel`
+    lifts and checks Z, and the same elimination goes on over
+    E' [M | I] = [[R, E Z, E, 0], [Z^T, 0, 0, I]], E' = diag(E, I): the
+    border rows are reduced against the r pivot rows in one product, and
+    2 eta further pivot steps take the free columns of A, then the border
+    columns.  The left block is then the permutation P with a 1 at
+    (k, order[k]) and the right block T has T M = P, so row order[k] of
+    M^-1 is row k of T and det(M) = sign(order) * d.  The products E Z and
+    the border update run through :func:`_mul_mod`.  M's rows, border rows
+    included, pass the 2**31 row-sum guard before :func:`_lift_and_check`
+    multiplies them.
+    """
+    p = MODULUS
+    first = _modular_echelon(a)
+    if first is None:
+        return None, None
+    ai, m, pivots, d = first
+    n, r = len(a), len(pivots)
+    if r == n:
+        ok, d, x = _lift_and_check(ai, m[:, n:], np.int64(d))
+        return [], ((int(d), x) if ok else None)
+    kernel = _lifted_kernel(a, m[:r, :n].tolist(), pivots)
+    if kernel is None:
+        return None, None
+    eta = n - r
+    size = n + eta
+    if max(abs(x) for vec in kernel for x in vec) > _MAX_ROW_SUM:
+        return kernel, None
+    mi = np.zeros((size, size), dtype=np.int64)
+    mi[:n, :n] = ai
+    mi[:n, n:] = np.array(kernel, dtype=np.int64).T
+    mi[n:, :n] = mi[:n, n:].T
+    if np.abs(mi).sum(axis=1).max() > _MAX_ROW_SUM:
+        return kernel, None
+    z = mi[:n, n:] % p
+    g = np.zeros((size, 2 * size), dtype=np.int64)
+    g[:n, :n] = m[:, :n]
+    g[:n, n:size] = _mul_mod(m[:, n:], z)
+    g[:n, size:size + n] = m[:, n:]
+    g[n:, :n] = z.T
+    g[n:, size + n:] = np.eye(eta, dtype=np.int64)
+    g[n:] = (g[n:] - _mul_mod(g[n:, pivots], g[:r])) % p
+    pivot_cols = set(pivots)
+    free = [c for c in range(n) if c not in pivot_cols]
+    order = pivots + free + list(range(n, size))
+    for k in range(r, size):
+        d = _pivot_step(g, k, order[k], d)
+        if d is None:
+            return kernel, None  # p divides det(M)
+    if sum(c > f for f in free for c in pivots) % 2:
+        d = p - d
+    x = np.empty((size, size), dtype=np.int64)
+    x[order] = g[:, size:]
+    ok, d, x = _lift_and_check(mi, x, np.int64(d))
+    return kernel, ((int(d), x) if ok else None)
 
 
 def _lifted_kernel(a, rref, pivots) -> "list[list[int]] | None":

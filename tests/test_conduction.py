@@ -8,9 +8,9 @@ from condgraph import linalg
 from condgraph.census import enumerate_connected
 from condgraph.classify import is_uniform_core_graph
 from condgraph.conduction import (BorderedAdjugate, ConductionGraph, DeviceVerdict,
-                                  Rule, booleanise, conduction_graph, device_verdict,
-                                  graph_nullity, inverse_conduction_pattern,
-                                  nullity_signature)
+                                  Rule, analyse, booleanise, conduction_graph,
+                                  device_verdict, graph_nullity,
+                                  inverse_conduction_pattern, nullity_signature)
 from condgraph.families import min_deg2_graph
 from condgraph.fixtures import fixture
 from condgraph.graphs import (Graph, adjacency_matrix, complete_bipartite_graph,
@@ -109,16 +109,17 @@ def test_device_verdict_rejects_bad_input():
 
 
 def test_device_answers_read_one_analysis(monkeypatch):
-    # a device verdict reads the analysis conduction_graph reads: one
-    # elimination of A, and one of the bordered matrix when A is singular;
-    # no deleted subgraph is eliminated and no polynomial is formed
-    counts = count_linalg_calls(monkeypatch, "_echelon", "_modular_inverse",
+    # a device verdict reads the analysis conduction_graph reads: below
+    # MODULAR_MIN_ORDER one echelon of A, and one of the bordered matrix when
+    # A is singular; from that order on one modular Gauss-Jordan pass for
+    # both; no deleted subgraph is eliminated and no polynomial is formed
+    counts = count_linalg_calls(monkeypatch, "_echelon", "_modular_echelon",
                                 "char_poly_and_adjugate")
 
     def eliminations(answer, *args):
         counts.update(dict.fromkeys(counts, 0))
         answer(*args)
-        return counts["_echelon"] + counts["_modular_inverse"]
+        return counts["_echelon"] + counts["_modular_echelon"]
 
     assert eliminations(device_verdict, cycle_graph(8), 0, 4) <= 2
     assert eliminations(nullity_signature, cycle_graph(8), 0, 4) <= 2
@@ -127,6 +128,11 @@ def test_device_answers_read_one_analysis(monkeypatch):
     k33 = complete_bipartite_graph(3, 3)
     assert eliminations(is_uniform_core_graph, k33) \
         == eliminations(conduction_graph, k33) == 2
+    assert counts["char_poly_and_adjugate"] == 0
+    for g in (cycle_graph(40), path_graph(41)):
+        assert eliminations(conduction_graph, g) \
+            == eliminations(device_verdict, g, 0, 1) \
+            == counts["_modular_echelon"] == 1
     assert counts["char_poly_and_adjugate"] == 0
 
 
@@ -213,16 +219,11 @@ def test_conduction_graph_preconditions():
 # the bordered adjugate
 # ---------------------------------------------------------------------------
 
-def _analysis(g):
-    a = adjacency_matrix(g)
-    return BorderedAdjugate(a, kernel_basis(a))
-
-
 def test_bordered_adjugate_deletion_nullities(connected_upto_7):
     # every eta(G-S), |S| <= 2, against direct elimination of G-S
     for n in range(1, 8):
         for g in connected_upto_7[n]:
-            analysis = _analysis(g)
+            analysis = analyse(g)
             assert analysis.nullity() == graph_nullity(g)
             for u in range(n):
                 assert analysis.nullity(u) == sub_nullity(g, 1 << u), (g, u)
@@ -250,8 +251,8 @@ def test_bordered_adjugate_is_scaled_pseudo_inverse():
         shifted = fraction_inverse([[a[i][j] + p[i][j] for j in range(n)]
                                     for i in range(n)])
         pinv = [[shifted[i][j] - p[i][j] for j in range(n)] for i in range(n)]
-        adj = BorderedAdjugate(a, z).adj
-        assert len(adj) == n + len(z)
+        kernel, _, adj = linalg.bordered_inverse(a)
+        assert kernel == z and len(adj) == n + len(z)
         assert [[Fraction(adj[i][j], det_m) for j in range(n)] for i in range(n)] \
             == pinv, g
 
@@ -308,13 +309,54 @@ def test_bordered_route_matches_rule_walk():
         _assert_matches_rules(g)
 
 
+def _is_multiple(x, adj):
+    """x is a nonzero rational multiple of the nonzero matrix adj."""
+    i, j = next((i, j) for i, row in enumerate(adj)
+                for j, value in enumerate(row) if value)
+    return x[i][j] != 0 and all(
+        xv * adj[i][j] == av * x[i][j]
+        for x_row, a_row in zip(x, adj) for xv, av in zip(x_row, a_row))
+
+
+def test_one_modular_pass_matches_the_exact_route(monkeypatch):
+    # the modular pass that lifts the kernel and goes on to eliminate the
+    # bordered matrix, tried at every order, against the exact two-echelon
+    # route: the kernel is kernel_basis(A), X a nonzero multiple of adj(M),
+    # and conduction_graph gives the same graph, nullity and verdicts (rules
+    # included); every singular connected graph with n <= 8, plus larger
+    # singular graphs of nullity 2, 1, 29, 24 and the twins' cubic graph
+    graphs = list(_singular_connected(8))
+    graphs += [cycle_graph(16), cycle_graph(20), cycle_graph(40),
+               cycle_graph(64), path_graph(17), path_graph(41), path_graph(63),
+               star_graph(30), complete_bipartite_graph(6, 20),
+               cubic_with_twins(16)]
+    results = _record_scaled_inverse(monkeypatch)
+    for g in graphs:
+        a = adjacency_matrix(g)
+        monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 65)
+        kernel, det_m, adj = linalg.bordered_inverse(a)
+        cg = conduction_graph(g)
+        monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
+        results.clear()
+        one_pass = linalg.bordered_inverse(a)
+        assert results == [True], g
+        assert one_pass[0] == kernel == kernel_basis(a), g
+        assert _is_multiple(one_pass[2], adj), g
+        assert abs(det_m) > linalg.MODULUS // 2 or one_pass[1:] == (det_m, adj)
+        got = conduction_graph(g)
+        assert (got.graph, got.nullity, got.verdicts) \
+            == (cg.graph, cg.nullity, cg.verdicts), g
+
+
 def test_conduction_graph_eliminations_per_graph(monkeypatch):
     # C40 and P41 get their kernel basis lifted from the modular elimination
-    # of A, and the bordered matrix passes the modular check: no exact
-    # echelon at all.  (The rule table over direct deletions eliminates once
-    # per vertex and per pair, 821 times for C40.)  A nonsingular graph below
-    # the crossover gets its adjugate from one echelon; a large one passes
-    # the modular check and eliminates nothing.
+    # of A, which goes on to eliminate the bordered matrix and passes the
+    # modular check: one pivot step per column of A, then one per free and
+    # per border column, and no exact echelon at all.  (The rule table over
+    # direct deletions eliminates once per vertex and per pair, 821 times
+    # for C40.)  A nonsingular graph below the crossover gets its adjugate
+    # from one echelon; a large one passes the modular check and eliminates
+    # nothing.
     calls = []
     real = linalg._echelon
 
@@ -322,11 +364,21 @@ def test_conduction_graph_eliminations_per_graph(monkeypatch):
         calls.append(len(a))
         return real(a)
 
+    steps = []
+    real_step = linalg._pivot_step
+
+    def stepped(m, r, c, d):
+        steps.append(c)
+        return real_step(m, r, c, d)
+
     monkeypatch.setattr(linalg, "_echelon", counted)
-    for g in (cycle_graph(40), path_graph(41)):
+    monkeypatch.setattr(linalg, "_pivot_step", stepped)
+    for g, eta in ((cycle_graph(40), 2), (path_graph(41), 1)):
         calls.clear()
+        steps.clear()
         conduction_graph(g)
         assert calls == [], (g, calls)
+        assert len(steps) == g.n + 2 * eta, g
     calls.clear()
     conduction_graph(cycle_graph(6))
     assert calls == [6]
@@ -340,18 +392,26 @@ def test_conduction_graph_eliminations_per_graph(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _record_scaled_inverse(monkeypatch):
-    """Try the modular half of linalg.scaled_inverse at every order and log
-    whether each attempt passed its check."""
+    """Try the modular half of linalg.scaled_inverse and of
+    linalg.bordered_inverse at every order and log whether each attempt
+    passed its check (an attempt that raises a certified kernel logs
+    nothing)."""
     results = []
-    real = linalg._modular_inverse
+    inverse, bordered = linalg._modular_inverse, linalg._modular_bordered
 
-    def recorded(a):
-        out = real(a)
+    def recorded_inverse(a):
+        out = inverse(a)
         results.append(out is not None)
         return out
 
+    def recorded_bordered(a):
+        out = bordered(a)
+        results.append(out[1] is not None)
+        return out
+
     monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
-    monkeypatch.setattr(linalg, "_modular_inverse", recorded)
+    monkeypatch.setattr(linalg, "_modular_inverse", recorded_inverse)
+    monkeypatch.setattr(linalg, "_modular_bordered", recorded_bordered)
     return results
 
 
@@ -387,26 +447,38 @@ def test_modular_routes_stay_exact_when_the_check_fails(monkeypatch,
 
 
 def test_bordered_adjugate_stays_exact_when_the_check_fails(monkeypatch):
-    # M = [[A, e0], [e0^T, 0]] for A = 0 (+) D of order 14: det(D) = p makes
-    # M singular modulo p, and D = diag(2**30, 3, 1, ...) gives cofactors of
-    # 3 * 2**30 > p/2.  Both refuse the modular result; the exact adjugate
-    # of M decides every nullity.
-    results = _record_scaled_inverse(monkeypatch)
+    # A = 0 (+) D of order 16, a modular order, with the kernel e0.  With
+    # D = diag(2**30, 3, 1, ...) the kernel lifts, but the cofactors of
+    # M = [[A, e0], [e0^T, 0]] reach 3 * 2**30 > p/2 and the check refuses
+    # the modular M; with a 2 x 2 head of det(D) = p the rank drops modulo p
+    # and the lift fails.  Either way the one modular pass is the only one:
+    # the echelon of [M | I] (after that of A, for the failed lift) gives
+    # the exact adjugate of M, which decides every nullity.
+    counts = count_linalg_calls(monkeypatch, "_modular_echelon")
+    widths = []
+    real = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda a: widths.append(len(a[0])) or real(a))
     prime_block = [[1 << 16, 1], [1, 1 << 15]]  # det = 2**31 - 1
-    n = 14
-    for head in (prime_block, [[1 << 30, 0], [0, 3]]):
+    n = 16
+    assert n >= linalg.MODULAR_MIN_ORDER
+    for head, echelons in (([[1 << 30, 0], [0, 3]], [2 * (n + 1)]),
+                           (prime_block, [n, 2 * (n + 1)])):
         a = [[0] * n for _ in range(n)]
         for i in range(2):
             for j in range(2):
                 a[1 + i][1 + j] = head[i][j]
         for i in range(3, n):
             a[i][i] = 1
-        results.clear()
-        analysis = BorderedAdjugate(a, kernel_basis(a))
-        assert results == [False]
+        counts["_modular_echelon"] = 0
+        widths.clear()
+        kernel, d, adj = linalg.bordered_inverse(a)
+        assert counts["_modular_echelon"] == 1 and widths == echelons
+        assert kernel == [[1] + [0] * (n - 1)]
         bordered = [row + [int(i == 0)] for i, row in enumerate(a)]
         bordered.append([1] + [0] * n)
-        assert analysis.adj == char_poly_and_adjugate(bordered)[1]
+        assert (d, adj) == (det(bordered), char_poly_and_adjugate(bordered)[1])
+        analysis = BorderedAdjugate(n, adj)
         for u in range(n):
             keep = [i for i in range(n) if i != u]
             sub = [[a[i][j] for j in keep] for i in keep]
@@ -426,9 +498,9 @@ def test_bordered_adjugate_from_a_scaled_inverse(monkeypatch, connected_upto_7):
         for g in connected_upto_7[n]:
             if not graph_nullity(g):
                 continue
-            analysis = _analysis(g)
-            scaled = BorderedAdjugate.__new__(BorderedAdjugate)
-            scaled._load(n, [[-3 * x for x in row] for row in analysis.adj])
+            analysis = analyse(g)
+            scaled = BorderedAdjugate(n, [[-3 * x for x in row]
+                                          for row in analysis.adj])
             for u in range(n):
                 assert analysis.nullity(u) == sub_nullity(g, 1 << u), (g, u)
                 assert scaled.nullity(u) == analysis.nullity(u), (g, u)

@@ -15,8 +15,8 @@ from condgraph.fixtures import fixture
 from condgraph.graphs import adjacency_matrix, cycle_graph, path_graph
 from condgraph.linalg import (MODULUS, IntPolynomial, SingularMatrixError,
                               char_poly, char_poly_and_adjugate, det,
-                              float_spectrum, kernel_basis, nullity, rank,
-                              scaled_inverse)
+                              bordered_inverse, float_spectrum, kernel_basis,
+                              nullity, rank, scaled_inverse)
 
 from conftest import (cofactor_adjugate, cubic_with_twins, fraction_inverse,
                       prism, rational_rref_rank)
@@ -345,6 +345,8 @@ def test_scaled_inverse_keeps_overflowing_input_from_numpy(monkeypatch):
     for a in ([[1 << 63]], [[-(1 << 64), 1], [1, 0]]):
         assert modular(a) is None
         assert scaled_inverse(a) == (det(a), char_poly_and_adjugate(a)[1])
+        assert linalg._modular_bordered(a) == (None, None)
+        assert bordered_inverse(a) == ([], det(a), char_poly_and_adjugate(a)[1])
     assert modular([row[:] for _ in range(5)]) is None
     _assert_singular([row[:] for _ in range(5)])
     assert modular([]) is None
@@ -484,6 +486,69 @@ def test_lifted_kernel_falls_back_to_the_echelon(monkeypatch):
             scaled_inverse(a)
         assert err.value.kernel == kernel_basis(a)
         assert widths[0] == n
+
+
+# ---------------------------------------------------------------------------
+# the bordered inverse: one modular pass for the kernel and the border
+# ---------------------------------------------------------------------------
+
+def _border(a, kernel):
+    return [row + [vec[i] for vec in kernel] for i, row in enumerate(a)] \
+        + [vec + [0] * len(kernel) for vec in kernel]
+
+
+def test_mul_mod_matches_python_integers():
+    # residues next to p in every limb, at an inner dimension of 64
+    rng = np.random.default_rng(7)
+    x = rng.integers(MODULUS - 4, MODULUS, (3, 64))
+    x[0] = rng.integers(0, MODULUS, 64)
+    y = rng.integers(MODULUS - (1 << 20), MODULUS, (64, 5))
+    expected = [[sum(int(u) * int(v) for u, v in zip(row, col)) % MODULUS
+                 for col in y.T] for row in x]
+    assert linalg._mul_mod(x, y).tolist() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_int_matrices)
+def test_modular_bordered_matches_the_exact_route_on_small_matrices(m):
+    # symmetric matrices from the upper triangle: every kernel fraction is a
+    # ratio of minors far below isqrt(p/2), so the kernel always lifts; the
+    # bordered result, when its check passes, is d M^-1 for the exact
+    # (det(M), adj(M)) that bordered_inverse returns below the crossover
+    n = len(m)
+    a = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    kernel, found = linalg._modular_bordered(a)
+    assert kernel == kernel_basis(a)
+    bordered = _border(a, kernel)
+    det_m, adj = det(bordered), char_poly_and_adjugate(bordered)[1]
+    assert bordered_inverse(a) == (kernel, det_m, adj)
+    if found is not None:
+        d, x = found
+        assert d and [[det_m * v for v in row] for row in x.tolist()] \
+            == [[d * v for v in row] for row in adj]
+
+
+def test_bordered_inverse_keeps_heavy_border_rows_from_numpy():
+    # order 16: A = [[0, C], [C^T, 0]] (+) I with C = [[d1, 0, -n1],
+    # [0, d2, -n2]] has the one kernel vector (n1 d2, n2 d1, d1 d2) on the
+    # C^T side; its fractions n1/d1 and n2/d2 lift, but its absolute sum
+    # exceeds 2**31, so the border row must not reach int64 products and M
+    # goes to the exact route
+    d1, d2, n1, n2 = 32749, 32719, 32717, 32713
+    n = 16
+    a = [[int(i == j >= 5) for j in range(n)] for i in range(n)]
+    for i, row in enumerate([[d1, 0, -n1], [0, d2, -n2]]):
+        for j, x in enumerate(row):
+            a[i][2 + j] = a[2 + j][i] = x
+    kernel = [[0, 0, n1 * d2, n2 * d1, d1 * d2] + [0] * (n - 5)]
+    assert kernel_basis(a) == kernel
+    assert sum(kernel[0]) > linalg._MAX_ROW_SUM > max(kernel[0])
+    assert linalg._modular_bordered(a) == (kernel, None)
+    bordered = _border(a, kernel)
+    z, d, x = bordered_inverse(a)
+    assert (z, d) == (kernel, det(bordered))
+    assert mat_mul(bordered, x) == [[d * (i == j) for j in range(n + 1)]
+                                    for i in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
