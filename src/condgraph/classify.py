@@ -165,8 +165,9 @@ def conduction_isomorphisms(graphs) -> list[list[int] | None]:
     disconnected); only survivors pay for a canonical-form comparison.  The
     graphs of one order share one :func:`linalg.modular_adjugates` call, and
     the loop and degree screens read its verified patterns in numpy.  A
-    graph that the modular kernel leaves undecided takes the exact route of
-    :func:`inverse_conduction_pattern`.
+    graph that the modular kernel leaves undecided goes to
+    :func:`inverse_conduction_pattern`, whose route
+    :func:`linalg.bordered_inverse` chooses.
     """
     out = [None] * len(graphs)
     by_order = {}

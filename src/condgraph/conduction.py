@@ -33,8 +33,10 @@ by one of two routes, chosen by the nullity:
   verdict is one shared :class:`DeviceVerdict` per rule row.
 
 The analysis is :func:`linalg.bordered_inverse` of the adjacency matrix:
-the exact kernel basis Z and d M^-1 for M = A bordered by Z, which it alone
-routes.  From order ``MODULAR_MIN_ORDER`` on a singular graph costs one
+the exact kernel basis Z and d M^-1 for M = A bordered by Z.  It is the one
+function that chooses between the modular and the exact route, for the
+analysis and for the nullity-0 pattern of :func:`inverse_conduction_pattern`
+alike.  From order ``MODULAR_MIN_ORDER`` on a singular graph costs one
 Gauss-Jordan modulo p: the elimination that finds and lifts Z goes on to
 eliminate M, and each result is used only after its integer check.  The
 tests compare all of this with an independent reference in
@@ -414,11 +416,16 @@ def _walk(analysis: BorderedAdjugate) -> tuple[Graph, dict]:
 def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
     """Adjacency rows and loop mask of the conduction graph, nullity-0 route.
 
-    Reads the nonzero pattern of a scaled inverse, which equals the
-    inverse's, so the whole computation stays in the integers.  A singular
-    graph raises :class:`~condgraph.linalg.SingularMatrixError`.
+    Reads the nonzero pattern of the scaled inverse from
+    :func:`linalg.bordered_inverse`, which equals the inverse's, so the whole
+    computation stays in the integers.  A singular graph raises
+    :class:`~condgraph.linalg.SingularMatrixError` with the kernel basis the
+    same call found.
     """
-    return _pattern(linalg.scaled_inverse(adjacency_matrix(g))[1])
+    kernel, _, x = linalg.bordered_inverse(adjacency_matrix(g))
+    if kernel:
+        raise linalg.SingularMatrixError(kernel)
+    return _pattern(x)
 
 
 def _pattern(x) -> tuple[list[int], int]:

@@ -10,30 +10,31 @@ the transmission polynomials; only the tests read the adjugate it yields as
 well.  The `fractions.Fraction` inverse the tests compare against lives in
 ``tests/conftest.py``.
 
-:func:`scaled_inverse` chooses the route to an adjugate, and
-:func:`bordered_inverse` the route to the analysis of a symmetric matrix:
-its kernel basis Z with the scaled inverse of A bordered by Z.  From order
-:data:`MODULAR_MIN_ORDER` on both first try Gauss-Jordan modulo the prime
+:func:`bordered_inverse` alone chooses between the modular and the exact
+route.  For a symmetric A it gives the kernel basis Z and the scaled inverse
+of A bordered by Z (d A^-1 when Z is empty).  From order
+:data:`MODULAR_MIN_ORDER` on it first tries Gauss-Jordan modulo the prime
 p = 2**31 - 1 in numpy int64.  That arithmetic is exact, not approximate:
 residues stay below 2**31, so every product of two is below 2**62, and a
 product of matrices splits one factor into 16-bit limbs.  No modular result
 is used before the integer check A X = d I holds, which makes X exactly
 d A^-1.  A column without a pivot modulo p is skipped, and the reduced
 echelon then gives one kernel vector per free column, lifted by rational
-reconstruction (Wang, Guy & Davenport 1982; Dixon 1982) and raised only
-once A z = 0 holds in the integers for every vector, which certifies it as
-the basis of :func:`kernel_basis`.  For :func:`bordered_inverse` the same
-elimination then goes on over the bordered matrix M from the state it left,
-so a singular matrix costs one modular pass, and its X is used only once
-M X = d I holds.  When a check or a lift fails the echelon decides.
+reconstruction (Wang, Guy & Davenport 1982; Dixon 1982) and used only once
+A z = 0 holds in the integers for every vector, which certifies it as the
+basis of :func:`kernel_basis`.  The same elimination then goes on over the
+bordered matrix M from the state it left, so a singular matrix costs one
+modular pass, and its X is used only once M X = d I holds.  When a check or
+a lift fails the echelon decides.
 
 A stack of matrices of one order, such as a census chunk of graphs, goes
 through :func:`modular_adjugates`: the same Gauss-Jordan, each row operation
 run on the whole stack at once.  It decides only what it can certify: an
 adjugate whose check A X = d I holds, and a singular matrix whose missing
 pivot modulo p is backed by Hadamard's certificate prod_v deg(v) < p**2,
-which bounds |det(A)| by prod_v sqrt(deg(v)) < p.  Every other matrix is left
-to :func:`scaled_inverse`.
+which bounds |det(A)| by prod_v sqrt(deg(v)) < p; that covers every
+connected graph with n <= 15.  Every other matrix is left to
+:func:`bordered_inverse`.
 
 Floating point is quarantined to :func:`float_spectrum`, which exists only for
 spectrum-shaped cross-checks (documented tolerance 1e-9 for the eigensolver,
@@ -219,7 +220,7 @@ def char_poly(a) -> "IntPolynomial":
 
 
 # ---------------------------------------------------------------------------
-# scaled inverse: Gauss-Jordan modulo one prime, else one Bareiss echelon
+# bordered inverse: Gauss-Jordan modulo one prime, else one Bareiss echelon
 # ---------------------------------------------------------------------------
 
 # matrix order from which the modular route is tried first.  Below it the
@@ -231,34 +232,6 @@ MODULUS = (1 << 31) - 1
 # largest absolute row sum admitted to numpy: with |X| < MODULUS / 2 every
 # partial sum of A X stays below 2**61
 _MAX_ROW_SUM = 1 << 31
-
-
-def scaled_inverse(a) -> tuple[int, list[list[int]]]:
-    """(d, X) with A X = d I exactly and d != 0, for a nonsingular A.
-
-    From order :data:`MODULAR_MIN_ORDER` on, Gauss-Jordan modulo one prime
-    is tried first (:func:`_modular_inverse`); its X has the zero pattern and
-    the submatrix ranks of adj(A), and equals it whenever det(A) and every
-    cofactor lie in (-p/2, p/2).  When it finds no pivot in some column, the
-    same elimination yields a kernel basis by rational reconstruction, used
-    only once A z = 0 holds in the integers for every vector.  When it
-    decides nothing, A may still be singular: the kernel is read from the
-    echelon of A alone, and only an empty kernel (p divides det(A), or the
-    lifted pair failed its check) leads on to the echelon of [A | I].  Below
-    that order the echelon of [A | I] decides at once
-    (:func:`_exact_inverse`).  A singular A raises
-    :class:`SingularMatrixError` with the kernel basis; a caller that needs
-    the bordered adjugate of a singular matrix asks
-    :func:`bordered_inverse` instead.
-    """
-    if len(a) >= MODULAR_MIN_ORDER:
-        found = _modular_inverse(a)
-        if found is not None:
-            return found[0], found[1].tolist()
-        kernel = kernel_basis(a)
-        if kernel:
-            raise SingularMatrixError(kernel)
-    return _exact_inverse(a)
 
 
 def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
@@ -275,9 +248,9 @@ def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
     state it left.  Z is used only once A z = 0 holds in the integers, X only
     once M X = d I does.  A failed lift reads Z from the echelon of A; a
     failed check, or a failed lift, leaves M to the echelon of [M | I]: no
-    matrix is eliminated modulo p twice.  Below that order A goes through
-    :func:`scaled_inverse` (the echelon of [A | I], whose left block also
-    gives Z) and M after it.
+    matrix is eliminated modulo p twice.  Below that order the echelon of
+    [A | I] (:func:`_exact_inverse`) gives (det(A), adj(A)), or Z and then
+    the echelon of [M | I].
     """
     if len(a) >= MODULAR_MIN_ORDER:
         kernel, found = _modular_bordered(a)
@@ -287,9 +260,9 @@ def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
             kernel = kernel_basis(a)
         return (kernel, *_exact_inverse(_border(a, kernel)))
     try:
-        return ([], *scaled_inverse(a))
+        return ([], *_exact_inverse(a))
     except SingularMatrixError as exc:
-        return (exc.kernel, *scaled_inverse(_border(a, exc.kernel)))
+        return (exc.kernel, *_exact_inverse(_border(a, exc.kernel)))
 
 
 def _border(a, kernel) -> list[list[int]]:
@@ -383,42 +356,16 @@ def _mul_mod(x, y):
     return ((x >> 16) @ y % p * (1 << 16) + (x & 0xFFFF) @ y) % p
 
 
-def _modular_inverse(a) -> "tuple[int, np.ndarray] | None":
-    """(d, X) with A X = d I exactly and d != 0, X an int64 array, or None;
-    raises :class:`SingularMatrixError` with a kernel basis it certified.
-
-    :func:`_modular_echelon` gives det(A) and adj(A) modulo p;
-    :func:`_lift_and_check` returns the pair only when the integer product
-    A X equals d I.  When some column has no pivot, the reduced echelon of A
-    gives a kernel basis modulo p, which :func:`_lifted_kernel` lifts and
-    checks.  None means that the input was refused or that the lifted
-    residues are neither d A^-1 nor the kernel (p divides det(A) of a
-    nonsingular A, an entry beyond the reconstruction bound, or rank modulo
-    p below the rank).
-    """
-    first = _modular_echelon(a)
-    if first is None:
-        return None
-    ai, m, pivots, d = first
-    n, r = len(a), len(pivots)
-    if r < n:
-        kernel = _lifted_kernel(a, m[:r, :n].tolist(), pivots)
-        if kernel is None:
-            return None
-        raise SingularMatrixError(kernel)
-    ok, d, x = _lift_and_check(ai, m[:, n:], np.int64(d))
-    return (int(d), x) if ok else None
-
-
 def _modular_bordered(a):
     """(Z, (d, X)) with Z the kernel basis of A and M X = d I exactly for
     M = [[A, Z], [Z^T, 0]], X an int64 array, from one Gauss-Jordan modulo
     p; (Z, None) when Z is certified but M is not decided (Z is empty for a
     nonsingular A), and (None, None) when Z is not certified either.
 
-    :func:`_modular_echelon` leaves E [A | I] = [R | E].  At full rank that
-    is :func:`_modular_inverse`'s pair.  Otherwise :func:`_lifted_kernel`
-    lifts and checks Z, and the same elimination goes on over
+    :func:`_modular_echelon` leaves E [A | I] = [R | E].  At full rank E is
+    A^-1 modulo p and d is det(A) modulo p, lifted and checked by
+    :func:`_lift_and_check`.  Otherwise :func:`_lifted_kernel` lifts and
+    checks Z, and the same elimination goes on over
     E' [M | I] = [[R, E Z, E, 0], [Z^T, 0, 0, I]], E' = diag(E, I): the
     border rows are reduced against the r pivot rows in one product, and
     2 eta further pivot steps take the free columns of A, then the border
@@ -569,11 +516,12 @@ def modular_adjugates(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     * ``SINGULAR``: some column has no pivot, so p divides det(A), and
       Hadamard's certificate prod_i sum_j a_ij**2 < p**2 holds, so
       |det(A)| < p and det(A) = 0.  For a 0/1 matrix the product is that of
-      the row degrees: every connected graph with n <= 10 and every chemical
-      graph with n <= 39 passes it.
+      the row degrees, at most (n-1)**n, and 14**15 < p**2 < 15**16:
+      every connected graph with n <= 15 and every chemical graph with
+      n <= 39 passes it.
     * ``UNDECIDED``: a column without pivot and no certificate, a failed
-      check, or a row whose absolute sum exceeds 2**31; the exact route
-      (:func:`scaled_inverse`) decides.
+      check, or a row whose absolute sum exceeds 2**31; the route that
+      :func:`bordered_inverse` chooses decides.
 
     d and X are meaningful for ``ADJUGATE`` entries only.  Every row
     operation runs on the whole stack, so one call costs about n numpy

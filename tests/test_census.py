@@ -186,7 +186,7 @@ def test_record_all_eliminates_as_conduction_graph_does(monkeypatch):
 
 
 def test_production_never_runs_faddeev_leverrier(monkeypatch, connected_upto_7):
-    # adjugates come from linalg.scaled_inverse alone; the characteristic
+    # adjugates come from linalg.bordered_inverse alone; the characteristic
     # polynomial recurrence serves transmission and the tests
     classes = [connected_upto_7[n] for n in range(1, 8)]
     classes.append(list(enumerate_chemical(10)))

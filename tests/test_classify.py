@@ -119,7 +119,7 @@ def test_conduction_isomorphic_examples():
 
 
 def _exact_conduction_isomorphism(g):
-    """The per-graph route: one exact scaled inverse, then the screens."""
+    """The per-graph route: one bordered inverse, then the screens."""
     if not g.is_simple() or not is_connected(g):
         return None
     try:

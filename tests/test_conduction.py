@@ -330,7 +330,7 @@ def test_one_modular_pass_matches_the_exact_route(monkeypatch):
                cycle_graph(64), path_graph(17), path_graph(41), path_graph(63),
                star_graph(30), complete_bipartite_graph(6, 20),
                cubic_with_twins(16)]
-    results = _record_scaled_inverse(monkeypatch)
+    results = _record_modular_passes(monkeypatch)
     for g in graphs:
         a = adjacency_matrix(g)
         monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 65)
@@ -387,31 +387,42 @@ def test_conduction_graph_eliminations_per_graph(monkeypatch):
     assert calls == []
 
 
+def test_inverse_pattern_of_a_singular_graph_raises_its_kernel(monkeypatch):
+    # the nullity-0 route reads the bordered inverse: a singular graph
+    # raises with its kernel basis, from MODULAR_MIN_ORDER on out of the one
+    # modular pass that also eliminates the bordered matrix (no exact
+    # echelon, so the bordering adds no pass), below it out of the echelon
+    # of [A | I]
+    graphs = (cycle_graph(40), path_graph(41), cubic_with_twins(40),
+              cycle_graph(4), path_graph(5))
+    kernels = [kernel_basis(adjacency_matrix(g)) for g in graphs]
+    counts = count_linalg_calls(monkeypatch, "_modular_echelon", "_echelon")
+    for g, kernel in zip(graphs, kernels):
+        counts.update(dict.fromkeys(counts, 0))
+        with pytest.raises(linalg.SingularMatrixError) as err:
+            inverse_conduction_pattern(g)
+        assert kernel and err.value.kernel == kernel, g
+        if g.n >= linalg.MODULAR_MIN_ORDER:
+            assert counts == {"_modular_echelon": 1, "_echelon": 0}, g
+
+
 # ---------------------------------------------------------------------------
 # modular adjugates and their exact fallback
 # ---------------------------------------------------------------------------
 
-def _record_scaled_inverse(monkeypatch):
-    """Try the modular half of linalg.scaled_inverse and of
-    linalg.bordered_inverse at every order and log whether each attempt
-    passed its check (an attempt that raises a certified kernel logs
-    nothing)."""
+def _record_modular_passes(monkeypatch):
+    """Try the modular half of linalg.bordered_inverse at every order and
+    log whether each attempt passed its check."""
     results = []
-    inverse, bordered = linalg._modular_inverse, linalg._modular_bordered
+    bordered = linalg._modular_bordered
 
-    def recorded_inverse(a):
-        out = inverse(a)
-        results.append(out is not None)
-        return out
-
-    def recorded_bordered(a):
+    def recorded(a):
         out = bordered(a)
         results.append(out[1] is not None)
         return out
 
     monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
-    monkeypatch.setattr(linalg, "_modular_inverse", recorded_inverse)
-    monkeypatch.setattr(linalg, "_modular_bordered", recorded_bordered)
+    monkeypatch.setattr(linalg, "_modular_bordered", recorded)
     return results
 
 
@@ -432,7 +443,7 @@ def test_modular_routes_stay_exact_when_the_check_fails(monkeypatch,
             pattern = exc.nullity
         expected.append((conduction_graph(g), pattern))
     monkeypatch.setattr(linalg, "MODULUS", 7)
-    results = _record_scaled_inverse(monkeypatch)
+    results = _record_modular_passes(monkeypatch)
     for g, (cg, pattern) in zip(cases, expected):
         got = conduction_graph(g)
         assert got.graph == cg.graph and got.verdicts == cg.verdicts, g
@@ -489,11 +500,11 @@ def test_bordered_adjugate_stays_exact_when_the_check_fails(monkeypatch):
                 assert analysis.nullity(u, v) == len(keep) - linalg.rank(sub)
 
 
-def test_bordered_adjugate_from_a_scaled_inverse(monkeypatch, connected_upto_7):
+def test_bordered_adjugate_from_the_modular_pass(monkeypatch, connected_upto_7):
     # the modular route on every singular connected graph with n <= 7, and
     # every answer unchanged when adj is replaced by a multiple of it, as a
     # checked d M^-1 with d != det(M) would be
-    results = _record_scaled_inverse(monkeypatch)
+    results = _record_modular_passes(monkeypatch)
     for n in range(2, 8):
         for g in connected_upto_7[n]:
             if not graph_nullity(g):

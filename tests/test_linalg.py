@@ -12,11 +12,12 @@ from condgraph import linalg
 from condgraph.census import enumerate_chemical, enumerate_connected
 from condgraph.families import min_deg2_graph
 from condgraph.fixtures import fixture
-from condgraph.graphs import adjacency_matrix, cycle_graph, path_graph
+from condgraph.graphs import (adjacency_matrix, complete_graph, cycle_graph,
+                              path_graph)
 from condgraph.linalg import (MODULUS, IntPolynomial, SingularMatrixError,
                               char_poly, char_poly_and_adjugate, det,
                               bordered_inverse, float_spectrum, kernel_basis,
-                              nullity, rank, scaled_inverse)
+                              nullity, rank)
 
 from conftest import (cofactor_adjugate, cubic_with_twins, fraction_inverse,
                       prism, rational_rref_rank)
@@ -199,163 +200,160 @@ def test_adjugate_identity_and_inverse_relation(connected_upto_7, rng):
 
 
 # ---------------------------------------------------------------------------
-# scaled inverse: the modular half and the exact half
+# the bordered inverse: the modular half and the exact half
 # ---------------------------------------------------------------------------
 
+def _border(a, kernel):
+    return [row + [vec[i] for vec in kernel] for i, row in enumerate(a)] \
+        + [vec + [0] * len(kernel) for vec in kernel]
+
+
 def _both_halves(monkeypatch):
-    """Send every order to one half of scaled_inverse, then to the other,
-    and log the modular attempts: a crossover of 65 keeps orders <= 64
-    exact, 1 tries the prime first."""
+    """Send every order to one half of bordered_inverse, then to the other,
+    and log whether each modular attempt passed its check: a crossover of
+    65 keeps orders <= 64 exact, 1 tries the prime first."""
     attempts = []
-    real = linalg._modular_inverse
+    real = linalg._modular_bordered
 
     def recorded(a):
         out = real(a)
-        attempts.append(out is not None)
+        attempts.append(out[1] is not None)
         return out
 
-    monkeypatch.setattr(linalg, "_modular_inverse", recorded)
+    monkeypatch.setattr(linalg, "_modular_bordered", recorded)
     for cut in (65, 1):
         monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", cut)
         yield cut, attempts
 
 
-def _assert_is_adjugate(a, half):
+def _assert_bordered_inverse(a, half):
+    """bordered_inverse(a) is (Z, det(M), adj(M)) for Z = kernel_basis(a)
+    and M = A bordered by Z (M = A when A is nonsingular), and the half
+    under test decided: no modular attempt below the crossover, and one
+    that passed its check above it.  Returns Z."""
     cut, attempts = half
     attempts.clear()
-    assert scaled_inverse(a) == (det(a), char_poly_and_adjugate(a)[1])
-    # the half under test decided: no modular attempt below the crossover,
-    # and one that passed its check above it
+    z = kernel_basis(a)
+    m = _border(a, z)
+    assert bordered_inverse(a) == (z, det(m), char_poly_and_adjugate(m)[1])
     assert attempts == ([True] if len(a) >= cut else [])
+    return z
+
+
+def test_bordered_inverse_is_the_adjugate_on_connected_graphs(connected_upto_7,
+                                                              monkeypatch):
+    # every connected graph with n <= 8: the adjugate of A when nonsingular,
+    # the kernel basis and the adjugate of the bordered matrix otherwise
+    graphs = [g for n in range(1, 8) for g in connected_upto_7[n]]
+    graphs += list(enumerate_connected(8))
+    for half in _both_halves(monkeypatch):
+        checked = sum(not _assert_bordered_inverse(A(g), half) for g in graphs)
+        assert checked == 0 + 1 + 1 + 3 + 8 + 52 + 342 + 5724  # n = 1..8
+
+
+def test_bordered_inverse_is_the_adjugate_on_chemical_graphs(monkeypatch):
+    # the 917 nonsingular chemical graphs with n = 10 and the 816 singular
+    # ones, whose bordered matrix conduction_graph inverts
+    graphs = list(enumerate_chemical(10))
+    for half in _both_halves(monkeypatch):
+        singular = sum(bool(_assert_bordered_inverse(A(g), half))
+                       for g in graphs)
+        assert singular == 816
+    assert len(graphs) == 1733
+
+
+def test_bordered_inverse_is_the_adjugate_on_large_graphs(monkeypatch):
+    # the benchmark's large inputs (C40 and P41 of nullity 2 and 1) and the
+    # minimum-degree-2 family
+    for half in _both_halves(monkeypatch):
+        for g, eta in ((cycle_graph(40), 2), (path_graph(41), 1)):
+            assert len(_assert_bordered_inverse(A(g), half)) == eta
+        assert _assert_bordered_inverse(A(fixture("fig6reg24")), half) == []
+        for k in range(2, 17):
+            assert _assert_bordered_inverse(A(min_deg2_graph(k)), half) == []
 
 
 def _assert_singular(a):
+    """The echelon of [A | I] raises with the kernel basis of a singular A."""
     with pytest.raises(SingularMatrixError) as err:
-        scaled_inverse(a)
+        linalg._exact_inverse(a)
     assert err.value.nullity == nullity(a)
     assert err.value.kernel == kernel_basis(a)
 
 
-def test_scaled_inverse_is_the_adjugate_on_connected_graphs(connected_upto_7,
-                                                            monkeypatch):
-    # every connected graph with n <= 8: the adjugate when nonsingular, the
-    # kernel basis in the error otherwise
-    graphs = [g for n in range(1, 8) for g in connected_upto_7[n]]
-    graphs += list(enumerate_connected(8))
-    for half in _both_halves(monkeypatch):
-        checked = 0
-        for g in graphs:
-            a = A(g)
-            if rank(a) < g.n:
-                _assert_singular(a)
-                continue
-            _assert_is_adjugate(a, half)
-            checked += 1
-        assert checked == 0 + 1 + 1 + 3 + 8 + 52 + 342 + 5724  # n = 1..8
-
-
-def test_scaled_inverse_is_the_adjugate_on_chemical_graphs(monkeypatch):
-    # the 917 nonsingular chemical graphs with n = 10, and the bordered
-    # matrix that conduction_graph inverts for each of the 816 singular ones
-    graphs = list(enumerate_chemical(10))
-    for half in _both_halves(monkeypatch):
-        for g in graphs:
-            a = A(g)
-            if rank(a) < g.n:
-                _assert_singular(a)
-                a = _bordered(a)
-            _assert_is_adjugate(a, half)
-    assert len(graphs) == 1733
-
-
-def _bordered(a):
-    z = kernel_basis(a)
-    m = [row + [vec[i] for vec in z] for i, row in enumerate(a)]
-    return m + [vec + [0] * len(z) for vec in z]
-
-
-def test_scaled_inverse_is_the_adjugate_on_large_graphs(monkeypatch):
-    # the benchmark's large inputs (C40 and P41 through the bordered matrix
-    # that production inverts) and the minimum-degree-2 family
-    for half in _both_halves(monkeypatch):
-        for g in (cycle_graph(40), path_graph(41)):
-            _assert_singular(A(g))
-            _assert_is_adjugate(_bordered(A(g)), half)
-        _assert_is_adjugate(A(fixture("fig6reg24")), half)
-        for k in range(2, 17):
-            _assert_is_adjugate(A(min_deg2_graph(k)), half)
-
-
 @settings(max_examples=100, deadline=None)
 @given(small_int_matrices)
-def test_scaled_inverse_matches_det_adjugate_and_kernel(m):
-    # the exact half on small integer matrices, singular or not
+def test_bordered_inverse_matches_det_adjugate_and_kernel(m):
+    # the exact half on small integer matrices, symmetric or not: an empty
+    # border and the adjugate when nonsingular; otherwise the kernel basis
+    # from the echelon (M need not be invertible for a non-symmetric A)
     if rank(m) < len(m):
         _assert_singular(m)
     else:
-        assert scaled_inverse(m) == (det(m), char_poly_and_adjugate(m)[1])
+        assert bordered_inverse(m) == ([], det(m), char_poly_and_adjugate(m)[1])
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_int_matrices)
-def test_modular_inverse_is_the_adjugate_on_small_matrices(m):
+def test_modular_bordered_is_the_adjugate_on_small_matrices(m):
     # the modular half: every minor of these matrices is far below p/2, so a
     # nonsingular one gets its adjugate and a singular one its exact kernel
-    if rank(m) < len(m):
-        with pytest.raises(SingularMatrixError) as err:
-            linalg._modular_inverse(m)
-        assert err.value.kernel == kernel_basis(m)
-    else:
-        d, x = linalg._modular_inverse(m)
+    kernel, found = linalg._modular_bordered(m)
+    assert kernel == kernel_basis(m)
+    if not kernel:
+        d, x = found
         assert (d, x.tolist()) == (det(m), char_poly_and_adjugate(m)[1])
 
 
-def test_scaled_inverse_refuses_what_the_prime_cannot_decide(monkeypatch):
+def test_bordered_inverse_refuses_what_the_prime_cannot_decide(monkeypatch):
     # the modular half refuses; the public call, with every order sent to
     # the modular half first, still returns the exact adjugate
     monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
-    modular = linalg._modular_inverse
-    # det = p: singular modulo p
+    modular = linalg._modular_bordered
+    # det = p: singular modulo p, and the lifted kernel fails its check
     refused = [[[MODULUS, 0], [0, 1]], [[1 << 16, 1], [1, 1 << 15]]]
     assert all(det(a) == MODULUS for a in refused)
+    for a in refused:
+        assert modular(a) == (None, None)
     # det = 3 * 2**30 lifts to a wrong residue, and the cofactor 3 * 2**30
     # exceeds p/2; the integer check refuses the lifted pair
     a = [[1 << 30, 0, 0], [0, 3, 0], [0, 0, 1]]
     adj = char_poly_and_adjugate(a)[1]
     assert max(max(map(abs, row)) for row in adj) > MODULUS // 2
+    assert modular(a) == ([], None)
     refused.append(a)
     for a in refused:
-        assert modular(a) is None
-        assert scaled_inverse(a) == (det(a), char_poly_and_adjugate(a)[1])
-    # a scaled result that does pass is exactly d A^-1, though not adj(A)
-    d, x = modular([[2, 0], [0, 2]])
-    assert mat_mul([[2, 0], [0, 2]], x.tolist()) == [[d, 0], [0, d]]
+        assert bordered_inverse(a) == ([], det(a), char_poly_and_adjugate(a)[1])
+    # a result that passes its check is exactly d A^-1
+    kernel, (d, x) = modular([[2, 0], [0, 2]])
+    assert kernel == [] and mat_mul([[2, 0], [0, 2]], x.tolist()) == [[d, 0], [0, d]]
 
 
-def test_scaled_inverse_keeps_overflowing_input_from_numpy(monkeypatch):
+def test_bordered_inverse_keeps_overflowing_input_from_numpy(monkeypatch):
     class NoNumpy:
         def __getattr__(self, name):
             raise AssertionError(f"numpy.{name} reached")
 
     monkeypatch.setattr(linalg, "np", NoNumpy())
     monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
-    modular = linalg._modular_inverse
+    modular = linalg._modular_bordered
     # entries that fit int64, row sums that would not stay exact
-    row = [1 << 29] * 5
     for a in ([[1 << 63]], [[-(1 << 64), 1], [1, 0]]):
-        assert modular(a) is None
-        assert scaled_inverse(a) == (det(a), char_poly_and_adjugate(a)[1])
-        assert linalg._modular_bordered(a) == (None, None)
+        assert modular(a) == (None, None)
         assert bordered_inverse(a) == ([], det(a), char_poly_and_adjugate(a)[1])
-    assert modular([row[:] for _ in range(5)]) is None
-    _assert_singular([row[:] for _ in range(5)])
-    assert modular([]) is None
-    assert scaled_inverse([]) == (1, [])
+    heavy = [[1 << 29] * 5 for _ in range(5)]
+    assert modular(heavy) == (None, None)
+    _assert_singular(heavy)
+    z = kernel_basis(heavy)
+    m = _border(heavy, z)
+    assert bordered_inverse(heavy) == (z, det(m), char_poly_and_adjugate(m)[1])
+    assert modular([]) == (None, None)
+    assert bordered_inverse([]) == ([], 1, [])
 
 
 def test_modular_adjugates_match_the_exact_route(connected_upto_7):
     # every connected graph with n <= 7 and chemical graph with n <= 10, one
-    # stack per order: verified pairs are scaled_inverse's, and every
+    # stack per order: verified pairs are bordered_inverse's, and every
     # singular graph is certified (prod deg < p**2 for all of them)
     classes = [connected_upto_7[n] for n in range(1, 8)]
     classes += [list(enumerate_chemical(n)) for n in range(1, 11)]
@@ -368,7 +366,7 @@ def test_modular_adjugates_match_the_exact_route(connected_upto_7):
                 assert status[k] == linalg.SINGULAR, g
             else:
                 assert status[k] == linalg.ADJUGATE, g
-                assert (int(d[k]), x[k].tolist()) == scaled_inverse(a), g
+                assert bordered_inverse(a) == ([], int(d[k]), x[k].tolist()), g
 
 
 def test_hadamard_certificate_bounds_the_singular_verdict():
@@ -385,7 +383,17 @@ def test_hadamard_certificate_bounds_the_singular_verdict():
         a = A(prism(k))
         status, d, x = linalg.modular_adjugates(np.array([a]))
         assert status.tolist() == [linalg.ADJUGATE]
-        assert (int(d[0]), x[0].tolist()) == scaled_inverse(a)
+        assert bordered_inverse(a) == ([], int(d[0]), x[0].tolist())
+    # the connected worst case is K_n, whose degree product is (n-1)**n, so
+    # every connected graph with n <= 15 is certified; K_n minus an edge is
+    # singular (the ends of the edge have equal rows) on either side
+    assert 14 ** 15 < MODULUS ** 2 < 15 ** 16
+    for order, verdict in ((15, linalg.SINGULAR), (16, linalg.UNDECIDED)):
+        a = A(complete_graph(order))
+        a[0][1] = a[1][0] = 0
+        assert rank(a) < order
+        status, _, _ = linalg.modular_adjugates(np.array([a]))
+        assert status.tolist() == [verdict]
 
 
 def test_modular_adjugates_leave_what_they_cannot_decide():
@@ -434,9 +442,9 @@ def _count_echelons(monkeypatch):
 
 def test_singular_matrix_of_modular_order_skips_the_augmented_echelon(monkeypatch):
     # from MODULAR_MIN_ORDER on, a matrix without a pivot modulo p gets its
-    # kernel from the modular elimination, lifted and checked, without any
-    # exact echelon; it is the basis of kernel_basis and of the echelon of
-    # [A | I]
+    # kernel from the modular elimination, lifted and checked, and the same
+    # pass eliminates the bordered matrix, without any exact echelon; the
+    # kernel is the basis of kernel_basis and of the echelon of [A | I]
     graphs = (cycle_graph(40), path_graph(41), cycle_graph(16), path_graph(17),
               cubic_with_twins(38), cubic_with_twins(40))
     expected = []
@@ -449,9 +457,7 @@ def test_singular_matrix_of_modular_order_skips_the_augmented_echelon(monkeypatc
         expected.append(kernel_basis(a))
     widths = _count_echelons(monkeypatch)
     for g, kernel in zip(graphs, expected):
-        with pytest.raises(SingularMatrixError) as err:
-            scaled_inverse(A(g))
-        assert err.value.kernel == kernel
+        assert bordered_inverse(A(g))[0] == kernel
     assert widths == []
 
 
@@ -479,23 +485,32 @@ def test_lifted_kernel_falls_back_to_the_echelon(monkeypatch):
     assert kernel_basis(big) == [[40000, 1] + [0] * (n - 2)]
     assert kernel_basis(drop) == [[1, -MODULUS] + [0] * (n - 2)]
     widths = _count_echelons(monkeypatch)
-    for a in (big, drop):
-        assert linalg._modular_inverse(a) is None
+    for a, kernel in ((big, [40000, 1]), (drop, [1, -MODULUS])):
+        assert linalg._modular_bordered(a) == (None, None)
         widths.clear()
-        with pytest.raises(SingularMatrixError) as err:
-            scaled_inverse(a)
-        assert err.value.kernel == kernel_basis(a)
-        assert widths[0] == n
+        assert bordered_inverse(a)[0] == [kernel + [0] * (n - 2)]
+        assert widths == [n, 2 * (n + 1)]
+
+
+def test_nonsingular_matrix_that_fails_the_check_costs_one_echelon(monkeypatch):
+    # order 16, A = diag(2**30, 3, 1, ...): the modular pass finds every
+    # pivot, but the cofactor 3 * 2**30 exceeds p/2 and the check refuses
+    # the lifted pair; the echelon of [A | I] then gives det(A) and adj(A),
+    # with no echelon of A alone before it
+    n = 16
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    a[0][0], a[1][1] = 1 << 30, 3
+    expected = ([], det(a), char_poly_and_adjugate(a)[1])
+    assert expected[1] == 3 << 30
+    assert linalg._modular_bordered(a) == ([], None)
+    widths = _count_echelons(monkeypatch)
+    assert bordered_inverse(a) == expected
+    assert widths == [2 * n]
 
 
 # ---------------------------------------------------------------------------
 # the bordered inverse: one modular pass for the kernel and the border
 # ---------------------------------------------------------------------------
-
-def _border(a, kernel):
-    return [row + [vec[i] for vec in kernel] for i, row in enumerate(a)] \
-        + [vec + [0] * len(kernel) for vec in kernel]
-
 
 def test_mul_mod_matches_python_integers():
     # residues next to p in every limb, at an inner dimension of 64
