@@ -9,7 +9,9 @@ trying one attachment set per parent-automorphism orbit this emits exactly one
 representative per isomorphism class, connectivity built in.
 
 Most candidates are rejected before any canonical labelling is computed: the
-invariant comparison plus one or two connectivity probes settles them.
+invariant comparison plus one or two cut-vertex probes settles them.  A probe
+reads the parent's table of components left by deleting each vertex, which
+:func:`graphs.reach` fills once per parent and vertex for all its children.
 
 The census pipeline applies the cheap-first conduction-isomorphism chain to a
 stream of graphs, accumulates per-order counts, and can persist records as an
@@ -29,8 +31,8 @@ from .classify import check_theorem, classification_report, conduction_isomorphi
 # the one-graph screen stays importable from here, where perfbench's tracer
 # looks it up by name
 from .classify import conduction_isomorphism  # noqa: F401
-from .graphs import (Graph, from_graph6, is_chemical, is_connected, reach,
-                     read_graph6_lines, to_graph6)
+from .graphs import (Graph, bit_indices, from_graph6, is_chemical, is_connected,
+                     reach, read_graph6_lines, to_graph6)
 from .isomorphism import canonical_data, canonical_form, equitable_partition
 
 MAX_BUILTIN_CONNECTED = 10
@@ -52,12 +54,52 @@ def _neighbor_degree_key(rows, degs, v):
     return tuple(out)
 
 
-def _connected_without(rows, n, v):
-    """Is the graph minus vertex v still connected?"""
-    if n <= 2:
+class _Parent:
+    """A node of the generation tree, as its children's acceptance reads it.
+
+    Both tables are filled on first use and shared by all the node's
+    children: ``parts[v]`` holds the component masks of the node minus
+    vertex v, found by :func:`reach`, and ``nbrs[v]`` the neighbours of v.
+    """
+
+    __slots__ = ("rows", "n", "parts", "nbrs")
+
+    def __init__(self, rows, n):
+        self.rows = rows
+        self.n = n
+        self.parts = {}
+        self.nbrs = None
+
+    def keeps_connected(self, mask, v):
+        """Is the child that joins a new vertex to the vertices ``mask``
+        still connected without the old vertex v?  It is when ``mask``
+        meets every component of the node minus v; a new vertex joined to v
+        alone is left isolated, unless it is all that is left."""
+        if not mask & ~(1 << v):
+            return self.n == 1
+        parts = self.parts.get(v)
+        if parts is None:
+            parts = self.parts[v] = []
+            alive = ((1 << self.n) - 1) & ~(1 << v)
+            while alive:
+                part = reach(self.rows, alive & -alive, alive)
+                parts.append(part)
+                alive &= ~part
+        for part in parts:
+            if not part & mask:
+                return False
         return True
-    alive = ((1 << n) - 1) & ~(1 << v)
-    return reach(rows, alive & -alive, alive) == alive
+
+    def child_neighbours(self, mask):
+        """Neighbour lists of the child that joins a new vertex to the
+        vertices ``mask``."""
+        if self.nbrs is None:
+            self.nbrs = list(map(bit_indices, self.rows))
+        n = self.n
+        out = [nb + [n] if mask >> v & 1 else nb
+               for v, nb in enumerate(self.nbrs)]
+        out.append(bit_indices(mask))
+        return out
 
 
 def _subset_orbit_reps(masks, generators, n):
@@ -87,66 +129,75 @@ def _subset_orbit_reps(masks, generators, n):
     return reps
 
 
-def _accepts(rows, n, w):
-    """Canonical-deletion acceptance for new vertex w (= n-1).
+def _accepts(parent, rows, mask):
+    """Canonical-deletion acceptance of the child ``rows`` of ``parent``,
+    whose new vertex w (= parent.n) is joined to the vertices ``mask``.
 
     The canonical deletion choice is the non-cut vertex maximising
     (degree, sorted neighbour degrees), ties broken by canonical position.
     Checks run lazily from cheapest to dearest: degree comparison, one
-    connectivity probe per potentially outranking vertex, neighbour keys
-    only inside the tied degree class, then the equitable partition, and a
-    full canonical labelling only when a tie shares w's cell.  Canonical
-    positions follow the partition's cell order and automorphisms keep its
-    cells, so a tie in a later cell than w's outranks w's whole orbit, and
-    ties only in earlier cells leave w the choice.  Returns (accepted,
-    canonical data or None); the data is reused for the accepted child's own
-    augmentation orbits.
+    cut-vertex probe per potentially outranking vertex, neighbour keys only
+    inside the tied degree class, then the equitable partition, and a full
+    canonical labelling only when a tie shares w's cell.  A probe reads the
+    parent's component table (see :class:`_Parent`), and the partition
+    refines the parent's neighbour lists extended by w.  Canonical positions
+    follow the partition's cell order and automorphisms keep its cells, so a
+    tie in a later cell than w's outranks w's whole orbit, and ties only in
+    earlier cells leave w the choice.  Returns (accepted, canonical data or
+    None, equitable partition or None): the data where acceptance labelled
+    the child, else the partition where it built one.  Either spares the
+    accepted child's own labelling work.
     """
+    w = parent.n
     degs = [r.bit_count() for r in rows]
     w_deg = degs[w]
     same = []
-    for v in range(n - 1):
+    for v in range(w):
         if degs[v] > w_deg:
-            if _connected_without(rows, n, v):
-                return False, None
+            if parent.keeps_connected(mask, v):
+                return False, None, None
         elif degs[v] == w_deg:
             same.append(v)
     if not same:
-        return True, None
+        return True, None, None
     w_key = _neighbor_degree_key(rows, degs, w)
     ties = []
     for v in same:
         key = _neighbor_degree_key(rows, degs, v)
         if key > w_key:
-            if _connected_without(rows, n, v):
-                return False, None
-        elif key == w_key and _connected_without(rows, n, v):
+            if parent.keeps_connected(mask, v):
+                return False, None, None
+        elif key == w_key and parent.keeps_connected(mask, v):
             ties.append(v)
     if not ties:
-        return True, None
-    cells = equitable_partition(rows)
+        return True, None, None
+    cells = equitable_partition(parent.child_neighbours(mask))
     cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
     if max(cell_of[v] for v in ties) > cell_of[w]:
-        return False, None
+        return False, None, None
     ties = [v for v in ties if cell_of[v] == cell_of[w]]
     if not ties:
-        return True, None
-    data = canonical_data(Graph(n, rows), cells)
+        return True, None, cells
+    data = canonical_data(Graph(w + 1, rows), cells)
     ties.append(w)
     delta = max(ties, key=lambda v: data.labeling[v])
-    return data.orbits[w] == data.orbits[delta], data
+    return data.orbits[w] == data.orbits[delta], data, None
 
 
-def _grow(rows, n, n_target, data, degree_cap, regular):
+def _grow(rows, n, n_target, data, cells, degree_cap, regular):
     """Depth-first canonical-path generation; yields (graph, canonical data
-    or None) at n_target, the data where acceptance labelled the graph.
+    or None, equitable partition or None) at n_target, as :func:`_accepts`
+    returned them for the graph.
 
     The attachment sets are the nonempty sets of at most ``degree_cap``
     vertices of degree below ``degree_cap`` (any sets without a cap), tried
-    in increasing mask order.
+    in increasing mask order.  A node's labelling starts from ``cells`` when
+    acceptance left them; its children's acceptance reads one
+    :class:`_Parent` of the node, so the node's cut-vertex table and
+    neighbour lists are built once for all of them.
     """
     if n == n_target:
-        yield Graph(n, rows), data
+        yield Graph(n, rows), data, cells
         return
     if degree_cap is None:
         bits = [1 << v for v in range(n)]
@@ -155,7 +206,8 @@ def _grow(rows, n, n_target, data, degree_cap, regular):
     masks = sorted(map(sum, chain.from_iterable(
         combinations(bits, size) for size in range(1, (degree_cap or n) + 1))))
     if data is None:
-        data = canonical_data(Graph(n, rows))
+        data = canonical_data(Graph(n, rows), cells)
+    parent = _Parent(rows, n)
     for mask in _subset_orbit_reps(masks, data.generators, n):
         child = [r for r in rows]
         m = mask
@@ -168,16 +220,16 @@ def _grow(rows, n, n_target, data, degree_cap, regular):
             deficit = sum(max(0, regular - r.bit_count()) for r in child)
             if deficit > regular * (n_target - n - 1):
                 continue
-        ok, child_data = _accepts(child, n + 1, n)
+        ok, child_data, child_cells = _accepts(parent, child, mask)
         if not ok:
             continue
         if n + 1 == n_target:
             if regular is not None and any(
                     r.bit_count() != regular for r in child):
                 continue
-            yield Graph(n + 1, child), child_data
+            yield Graph(n + 1, child), child_data, child_cells
         else:
-            yield from _grow(child, n + 1, n_target, child_data,
+            yield from _grow(child, n + 1, n_target, child_data, child_cells,
                              degree_cap, regular)
 
 
@@ -188,7 +240,7 @@ def enumerate_connected(n: int):
     :func:`ingest_graph6`.
     """
     _check_order(n, MAX_BUILTIN_CONNECTED)
-    for g, _ in _grow([0], 1, n, None, None, None):
+    for g, _, _ in _grow([0], 1, n, None, None, None, None):
         yield g
 
 
@@ -204,7 +256,7 @@ def enumerate_chemical(n: int, regular: int | None = None):
         raise ValueError("only regular=3 is supported")
     if regular == 3 and (n < 4 or n % 2):
         return
-    for g, _ in _grow([0], 1, n, None, 3, regular):
+    for g, _, _ in _grow([0], 1, n, None, None, 3, regular):
         yield g
 
 
@@ -262,11 +314,11 @@ def census_source(mode: str, n: int | None, source_path, on_error=None,
         raise ValueError("census needs --n or --ingest")
     _check_order(n, MAX_BUILTIN_CHEMICAL if chemical else MAX_BUILTIN_CONNECTED)
     # the class at order n - 1 is the tree's nodes at that order, in order;
-    # each keeps the canonical data its acceptance computed
+    # each keeps the canonical data or partition its acceptance computed
     cap = 3 if chemical else None
-    nodes = _grow([0], 1, max(n - 1, 1), None, cap, None)
-    return (g for node, data in islice(nodes, shard, None, shards)
-            for g, _ in _grow(node.rows, node.n, n, data, cap, None))
+    nodes = _grow([0], 1, max(n - 1, 1), None, None, cap, None)
+    return (g for node, data, cells in islice(nodes, shard, None, shards)
+            for g, _, _ in _grow(node.rows, node.n, n, data, cells, cap, None))
 
 
 def _ingest_slice(path, chemical, on_error, shard, shards):

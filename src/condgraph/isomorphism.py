@@ -84,19 +84,18 @@ def _refine(nbrs, cells):
         cells = out
 
 
-def equitable_partition(rows) -> list[list[int]]:
-    """Equitable refinement of the vertices of a simple graph (adjacency
-    bit rows) by degree, cells in ascending degree order.
+def equitable_partition(nbrs) -> list[list[int]]:
+    """Equitable refinement of the vertices of a simple graph by degree,
+    cells in ascending degree order; ``nbrs[v]`` lists the neighbours of v.
 
     It is the root partition of the canonical search: canonical positions
     follow its cell order, and :func:`canonical_data` accepts it as the
     search's start.
     """
     by_degree = {}
-    for v, row in enumerate(rows):
-        by_degree.setdefault(row.bit_count(), []).append(v)
-    return _refine(list(map(bit_indices, rows)),
-                   [by_degree[k] for k in sorted(by_degree)])
+    for v, nb in enumerate(nbrs):
+        by_degree.setdefault(len(nb), []).append(v)
+    return _refine(nbrs, [by_degree[k] for k in sorted(by_degree)])
 
 
 def _encode(n, rows, loops, lab):

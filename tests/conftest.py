@@ -20,7 +20,7 @@ from condgraph.census import enumerate_connected
 from condgraph.conduction import (ConductionGraph, DeviceVerdict, NullitySignature,
                                   Rule, _sub_char_poly, _sub_matrix,
                                   _verdict_from_signature, inverse_conduction_pattern)
-from condgraph.graphs import Graph, is_connected
+from condgraph.graphs import Graph, is_connected, reach
 from condgraph.linalg import SingularMatrixError
 
 
@@ -211,6 +211,16 @@ def count_vector_refine(rows, cells):
         if not changed:
             return out
         cells = out
+
+
+def connected_without(rows, n, v):
+    """Is the graph of adjacency bit rows ``rows`` on n vertices still
+    connected without vertex v?  One walk over the rest; orders up to 2
+    count as connected."""
+    if n <= 2:
+        return True
+    alive = ((1 << n) - 1) & ~(1 << v)
+    return reach(rows, alive & -alive, alive) == alive
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5,

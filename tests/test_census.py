@@ -6,6 +6,8 @@ import io
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condgraph import census, graphs as graphs_module, linalg
 from condgraph.census import (CensusStore, census_record, census_source,
@@ -18,7 +20,7 @@ from condgraph.fixtures import fixture
 from condgraph.graphs import Graph, from_graph6, to_graph6
 from condgraph.isomorphism import canonical_data, canonical_form
 
-from conftest import count_linalg_calls
+from conftest import connected_without, count_linalg_calls
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 CHEMICAL_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 10, 6: 29, 7: 64, 8: 194,
@@ -319,6 +321,114 @@ def test_census_source_keeps_the_labellings_of_its_split_order(monkeypatch):
     once, calls[0] = calls[0], 0
     assert sum(1 for _ in census_source("chemical", 12, None)) == 19430
     assert calls[0] <= once
+
+
+def test_acceptance_partitions_start_the_labelling(monkeypatch):
+    # a child whose acceptance built its equitable partition but did not
+    # label it is labelled from that partition, never from scratch
+    partitioned = set()
+    real_accepts = census._accepts
+
+    def accepts(parent, rows, mask):
+        ok, data, cells = real_accepts(parent, rows, mask)
+        if ok and cells is not None:
+            partitioned.add(tuple(rows))
+        return ok, data, cells
+
+    calls = Counter()
+    real_canonical = census.canonical_data
+
+    def canonical(g, cells=None):
+        calls[cells is None] += 1
+        assert cells is not None or tuple(g.rows) not in partitioned, g
+        return real_canonical(g, cells)
+
+    monkeypatch.setattr(census, "_accepts", accepts)
+    monkeypatch.setattr(census, "canonical_data", canonical)
+    assert sum(1 for _ in enumerate_chemical(10)) == 1733
+    assert partitioned
+    assert calls[True] == 210 and calls[True] + calls[False] == 1704
+
+
+def _check_cut_table(parent, rows, mask):
+    for v in range(parent.n):
+        assert parent.keeps_connected(mask, v) == \
+            connected_without(rows, parent.n + 1, v), (rows, v)
+
+
+def test_cut_table_matches_the_reference_on_every_tried_child(monkeypatch):
+    # rejected children included: every child that acceptance sees
+    tried = [0]
+    real = census._accepts
+
+    def checked(parent, rows, mask):
+        tried[0] += 1
+        _check_cut_table(parent, rows, mask)
+        return real(parent, rows, mask)
+
+    monkeypatch.setattr(census, "_accepts", checked)
+    for n in range(1, 8):
+        assert sum(1 for _ in enumerate_connected(n)) == CONNECTED_COUNTS[n]
+    for n in range(1, 11):
+        assert sum(1 for _ in enumerate_chemical(n)) == CHEMICAL_COUNTS[n]
+    assert tried[0] > 0
+
+
+def _child(rows, mask):
+    n = len(rows)
+    return [r | (1 << n) if mask >> v & 1 else r
+            for v, r in enumerate(rows)] + [mask]
+
+
+@st.composite
+def _connected_parent_and_mask(draw):
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["path", "star", "tree", "graph"]))
+    edges = set()
+    for v in range(1, n):
+        if shape == "path":
+            edges.add((v - 1, v))
+        elif shape == "star":
+            edges.add((0, v))
+        else:
+            edges.add((draw(st.integers(0, v - 1)), v))
+    if shape == "graph" and n > 1:
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    rows = list(Graph.from_edges(n, sorted(edges)).rows)
+    return rows, draw(st.integers(1, (1 << n) - 1))
+
+
+@given(_connected_parent_and_mask())
+@example(([0], 1))  # K1
+@example(([0b10, 0b01], 0b01))  # K2, each attachment set
+@example(([0b10, 0b01], 0b10))
+@example(([0b10, 0b01], 0b11))
+@settings(max_examples=300, deadline=None)
+def test_cut_table_on_random_connected_parents(case):
+    # paths, stars and trees have cut vertices with three or more components
+    rows, mask = case
+    parent = census._Parent(rows, len(rows))
+    _check_cut_table(parent, _child(rows, mask), mask)
+    # the table, once filled, answers a second mask too
+    full = (1 << len(rows)) - 1
+    _check_cut_table(parent, _child(rows, full), full)
+
+
+def test_cut_probes_walk_once_per_parent_and_vertex(monkeypatch):
+    calls = [0]
+    real = census.reach
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(census, "reach", counted)
+    assert sum(1 for _ in enumerate_chemical(10)) == 1733
+    assert calls[0] <= 6422  # 29 846 walks with one per probe
+    calls[0] = 0
+    assert sum(1 for _ in enumerate_connected(7)) == 853
+    assert calls[0] <= 718  # 5 365 with one per probe
 
 
 def test_sharded_ingest_parses_each_line_once(tmp_path, monkeypatch):

@@ -247,7 +247,7 @@ def _nx_graph(g):
 
 def test_connectivity_against_networkx(rng):
     nx = pytest.importorskip("networkx")
-    from condgraph.census import _connected_without
+    from conftest import connected_without as _connected_without
     for _ in range(300):
         n = rng.randint(1, 10)
         g = random_graph(rng, n, p=rng.choice([0.15, 0.3, 0.5]))
