@@ -16,7 +16,11 @@ reads the parent's table of components left by deleting each vertex, which
 The census pipeline applies the cheap-first conduction-isomorphism chain to a
 stream of graphs, accumulates per-order counts, and can persist records as an
 append-only CSV with a graph6 sidecar and a completed-shard manifest so that
-interrupted runs resume without recomputation.
+interrupted runs resume without recomputation.  Shards split an enumerated
+class by the candidate children of order n - 1, not by the nodes of some
+order (see :func:`census_source`): each candidate is accepted by one shard
+only, and since the tree is lopsided (a few shallow nodes can hold most of
+the class below them), only a split that fine keeps the shards even.
 """
 
 from __future__ import annotations
@@ -189,16 +193,35 @@ def _grow(rows, n, n_target, data, cells, degree_cap, regular):
     or None, equitable partition or None) at n_target, as :func:`_accepts`
     returned them for the graph.
 
-    The attachment sets are the nonempty sets of at most ``degree_cap``
-    vertices of degree below ``degree_cap`` (any sets without a cap), tried
-    in increasing mask order.  A node's labelling starts from ``cells`` when
-    acceptance left them; its children's acceptance reads one
-    :class:`_Parent` of the node, so the node's cut-vertex table and
-    neighbour lists are built once for all of them.
+    The node's candidate children come from :func:`_candidates`, and each
+    one that :func:`_accepts` keeps is grown from the data or cells that
+    acceptance returned.
     """
     if n == n_target:
-        yield Graph(n, rows), data, cells
+        if regular is None or all(r.bit_count() == regular for r in rows):
+            yield Graph(n, rows), data, cells
         return
+    for parent, child, mask in _candidates(rows, n, n_target, data, cells,
+                                           degree_cap, regular):
+        ok, child_data, child_cells = _accepts(parent, child, mask)
+        if ok:
+            yield from _grow(child, n + 1, n_target, child_data, child_cells,
+                             degree_cap, regular)
+
+
+def _candidates(rows, n, n_target, data, cells, degree_cap, regular):
+    """The candidate children of a node on ``n`` vertices, before
+    acceptance: one (parent, child rows, attachment mask) per orbit of the
+    attachment sets under the node's automorphisms.
+
+    The attachment sets are the nonempty sets of at most ``degree_cap``
+    vertices of degree below ``degree_cap`` (any sets without a cap), tried
+    in increasing mask order; with ``regular``, a child that cannot reach
+    that degree everywhere by order n_target is left out.  The node's
+    labelling starts from ``cells`` when acceptance left them, and all its
+    candidates share one :class:`_Parent` of the node, so its cut-vertex
+    table and neighbour lists are built once for all of them.
+    """
     if degree_cap is None:
         bits = [1 << v for v in range(n)]
     else:
@@ -220,17 +243,7 @@ def _grow(rows, n, n_target, data, cells, degree_cap, regular):
             deficit = sum(max(0, regular - r.bit_count()) for r in child)
             if deficit > regular * (n_target - n - 1):
                 continue
-        ok, child_data, child_cells = _accepts(parent, child, mask)
-        if not ok:
-            continue
-        if n + 1 == n_target:
-            if regular is not None and any(
-                    r.bit_count() != regular for r in child):
-                continue
-            yield Graph(n + 1, child), child_data, child_cells
-        else:
-            yield from _grow(child, n + 1, n_target, child_data, child_cells,
-                             degree_cap, regular)
+        yield parent, child, mask
 
 
 def enumerate_connected(n: int):
@@ -289,17 +302,21 @@ def census_source(mode: str, n: int | None, source_path, on_error=None,
     those graphs of the graph6 file ``source_path``; with ``shards`` > 1,
     only the slice of them that belongs to shard ``shard``.
 
-    A class is split at order n - 1 of its generation tree: the i-th node
-    there (counting from 0), with its subtree, belongs to shard
-    i mod ``shards``, so the shards together grow each node once.  Line N of
-    a file belongs to shard (N - 1) mod ``shards``; other shards' lines are
-    not parsed.  A file's unparsable lines, disconnected graphs and, in
-    chemical mode, graphs of a degree above 3 are reported to ``on_error``
-    (line number, message) by the shard that owns the line, and skipped.
-    With one shard the stream is the whole source in its own order.  A bad
-    mode, order or shard count, an order together with a file (whose graphs
-    have orders of their own) or neither raise ValueError before any graph
-    is produced.
+    A class is split by candidate: every shard grows the generation tree to
+    order n - 2 (the root, for n = 2), numbers the candidate children of
+    those nodes from 0 in generation order (see :func:`_candidates`;
+    counted before acceptance), and accepts only the candidates i with
+    i mod ``shards`` = ``shard``, each grown with its subtree to order n.
+    So the shards together accept each candidate once, and only the far
+    smaller order n - 2 level is grown by every shard.  The one graph on one
+    vertex belongs to shard 0.  Line N of a file belongs to shard
+    (N - 1) mod ``shards``; other shards' lines are not parsed.  A file's
+    unparsable lines, disconnected graphs and, in chemical mode, graphs of
+    a degree above 3 are reported to ``on_error`` (line number, message) by
+    the shard that owns the line, and skipped.  With one shard the stream
+    is the whole source in its own order.  A bad mode, order or shard
+    count, an order together with a file (whose graphs have orders of their
+    own) or neither raise ValueError before any graph is produced.
     """
     if mode not in ("connected", "chemical"):
         raise ValueError("mode must be 'connected' or 'chemical'")
@@ -313,12 +330,25 @@ def census_source(mode: str, n: int | None, source_path, on_error=None,
     if n is None:
         raise ValueError("census needs --n or --ingest")
     _check_order(n, MAX_BUILTIN_CHEMICAL if chemical else MAX_BUILTIN_CONNECTED)
-    # the class at order n - 1 is the tree's nodes at that order, in order;
-    # each keeps the canonical data or partition its acceptance computed
-    cap = 3 if chemical else None
-    nodes = _grow([0], 1, max(n - 1, 1), None, None, cap, None)
-    return (g for node, data, cells in islice(nodes, shard, None, shards)
-            for g, _, _ in _grow(node.rows, node.n, n, data, cells, cap, None))
+    if n == 1:  # the root alone: no candidates to share out
+        return iter([Graph(1, [0])] if shard == 0 else [])
+    return _candidate_slice(n, 3 if chemical else None, shard, shards)
+
+
+def _candidate_slice(n, degree_cap, shard, shards):
+    """The graphs on ``n`` >= 2 vertices below the candidates of order
+    n - 1 (order 2, for n = 2) that belong to shard ``shard``; see
+    :func:`census_source`."""
+    nodes = _grow([0], 1, max(n - 2, 1), None, None, degree_cap, None)
+    candidates = (candidate for node, data, cells in nodes
+                  for candidate in _candidates(node.rows, node.n, n, data,
+                                               cells, degree_cap, None))
+    for parent, child, mask in islice(candidates, shard, None, shards):
+        ok, data, cells = _accepts(parent, child, mask)
+        if ok:
+            for g, _, _ in _grow(child, parent.n + 1, n, data, cells,
+                                 degree_cap, None):
+                yield g
 
 
 def _ingest_slice(path, chemical, on_error, shard, shards):
@@ -475,13 +505,15 @@ class CensusStore:
 
     ``census_n<k>.csv`` accumulates records (header once), ``positives_n<k>.g6``
     the conduction-isomorphic graphs, and ``manifest_n<k>.txt`` the run's
-    settings,
-    ``mode=<mode>,n=<order>,shards=<count>,split=tree,record_all=<0|1>``,
-    then one line per completed shard: ``shard_id,count,checksum`` followed
-    by the shard's summary rows, four fields
-    ``order,total,cond_iso,cond_iso_nonbipartite`` per order.  ``split``
-    names how :func:`census_source` slices the source into shards: ``tree``
-    for an enumerated class, ``lines`` for an ingested file.  Without an
+    settings, ``mode=<mode>,n=<order>,shards=<count>,split=<split>,``
+    ``record_all=<0|1>``, then one line per completed shard:
+    ``shard_id,count,checksum`` followed by the shard's summary rows, four
+    fields ``order,total,cond_iso,cond_iso_nonbipartite`` per order.
+    ``split`` names how :func:`census_source` slices the source into
+    shards: ``candidates`` for an enumerated class (every S-th candidate
+    child of order n - 1), ``lines`` for an ingested file (every S-th
+    line).  A store of an older split, such as ``tree`` (every S-th node of
+    order n - 1), is refused: its shards hold other graphs.  Without an
     order (an ingested file of any orders) the files are
     ``census_ingest.csv``, ``positives_ingest.g6`` and
     ``manifest_ingest.txt``, and the settings say ``n=ingest``.  Re-running
@@ -616,8 +648,9 @@ def run_census_persistent(mode: str, n: int | None, outdir, shards: int = 4,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     census_source(mode, n, source_path, shards=shards)  # checks the arguments only
     store = CensusStore(outdir, n)
+    split = "lines" if n is None else "candidates"
     done = store.begin(f"mode={mode},n={'ingest' if n is None else n},"
-                       f"shards={shards},split={'lines' if n is None else 'tree'},"
+                       f"shards={shards},split={split},"
                        f"record_all={int(record_all)}")
     summary = CensusSummary()
     for part in done.values():

@@ -191,12 +191,31 @@ def test_census_refuses_a_store_without_the_split(capsys, tmp_path):
     run(capsys, *argv)
     manifest = outdir / "manifest_n6.txt"
     settings, first, _ = manifest.read_text().splitlines()
-    assert settings == "mode=connected,n=6,shards=2,split=tree,record_all=0"
+    assert settings == "mode=connected,n=6,shards=2,split=candidates,record_all=0"
     manifest.write_text("mode=connected,n=6,shards=2,record_all=0\n" + first + "\n")
     before = {p.name: p.read_bytes() for p in outdir.iterdir()}
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert "split=tree" in err and "shards=2,record_all=0" in err
+    assert "split=candidates" in err and "shards=2,record_all=0" in err
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+
+def test_census_refuses_a_store_split_by_tree_nodes(capsys, tmp_path):
+    # a store whose shards took every S-th node of order n - 1 holds other
+    # graphs per shard than a split by candidate; a resume would repeat
+    # some graphs and miss others
+    outdir = tmp_path / "store"
+    argv = ["census", "--mode", "connected", "--n", "6", "--out", str(outdir),
+            "--shards", "2"]
+    run(capsys, *argv)
+    manifest = outdir / "manifest_n6.txt"
+    settings, first, _ = manifest.read_text().splitlines()
+    old = settings.replace("split=candidates", "split=tree")
+    manifest.write_text(old + "\n" + first + "\n")
+    before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "split=tree" in err and "split=candidates" in err
     assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
 
