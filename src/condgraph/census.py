@@ -31,10 +31,12 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from pathlib import Path
 
-from .classify import check_theorem, classification_report, conduction_isomorphisms
+from .classify import (certified_inverses, check_theorem, classification_report,
+                       conduction_isomorphisms, stacked_adjugates)
 # the one-graph screen stays importable from here, where perfbench's tracer
 # looks it up by name
 from .classify import conduction_isomorphism  # noqa: F401
+from .conduction import BorderedAdjugate
 from .graphs import (Graph, bit_indices, from_graph6, is_chemical, is_connected,
                      reach, read_graph6_lines, to_graph6)
 from .isomorphism import canonical_data, canonical_form, equitable_partition
@@ -308,9 +310,13 @@ def census_source(mode: str, n: int | None, source_path, on_error=None,
     counted before acceptance), and accepts only the candidates i with
     i mod ``shards`` = ``shard``, each grown with its subtree to order n.
     So the shards together accept each candidate once, and only the far
-    smaller order n - 2 level is grown by every shard.  The one graph on one
-    vertex belongs to shard 0.  Line N of a file belongs to shard
-    (N - 1) mod ``shards``; other shards' lines are not parsed.  A file's
+    smaller order n - 2 level is grown by every shard.  Each graph of an
+    enumerated class carries the canonical data, or else the equitable
+    partition, that its acceptance computed, which :func:`census_record`
+    reads instead of labelling it again; it is equal to, and pickles as, a
+    plain :class:`Graph`.  The one graph on one vertex belongs to shard 0.
+    Line N of a file belongs to shard (N - 1) mod ``shards``; other shards'
+    lines are not parsed.  A file's
     unparsable lines, disconnected graphs and, in chemical mode, graphs of
     a degree above 3 are reported to ``on_error`` (line number, message) by
     the shard that owns the line, and skipped.  With one shard the stream
@@ -346,9 +352,24 @@ def _candidate_slice(n, degree_cap, shard, shards):
     for parent, child, mask in islice(candidates, shard, None, shards):
         ok, data, cells = _accepts(parent, child, mask)
         if ok:
-            for g, _, _ in _grow(child, parent.n + 1, n, data, cells,
-                                 degree_cap, None):
-                yield g
+            for g, data, cells in _grow(child, parent.n + 1, n, data, cells,
+                                        degree_cap, None):
+                yield _Leaf(g, data, cells)
+
+
+class _Leaf(Graph):
+    """A graph of an enumerated :func:`census_source` together with the
+    labelling work its acceptance did: ``data``, its canonical data, or
+    else ``cells``, its equitable partition (either may be None).  It
+    shares the rows of the graph it wraps and pickles as a plain
+    :class:`Graph`."""
+
+    __slots__ = ("data", "cells")
+
+    def __init__(self, g: Graph, data, cells):
+        for name, value in (("n", g.n), ("rows", g.rows), ("loops", g.loops),
+                            ("data", data), ("cells", cells)):
+            object.__setattr__(self, name, value)
 
 
 def _ingest_slice(path, chemical, on_error, shard, shards):
@@ -424,10 +445,20 @@ class CensusSummary:
         return tuple(self.counts.get(n, [0, 0, 0]))
 
 
-def census_record(g: Graph) -> CensusRecord:
-    """Full classification record with a canonically labelled graph6 key."""
-    data = canonical_data(g)
-    report = classification_report(g)
+def census_record(g: Graph, analysis: BorderedAdjugate | None = None) -> CensusRecord:
+    """Full classification record with a canonically labelled graph6 key.
+
+    A graph of an enumerated :func:`census_source` keeps the canonical data
+    its acceptance computed, or the equitable partition it built: the key is
+    read from that data, or labelled from that partition, and labelled from
+    scratch only when there is neither (the labelling is the same).
+    ``analysis``, when given, is g's, and the report reads it (see
+    :func:`classification_report`).
+    """
+    data, cells = (g.data, g.cells) if isinstance(g, _Leaf) else (None, None)
+    if data is None:
+        data = canonical_data(g, cells)
+    report = classification_report(g, analysis)
     return CensusRecord(
         n=g.n,
         graph6=to_graph6(g.relabel(data.labeling)),
@@ -453,12 +484,18 @@ def run_census(source, record_all: bool = False, on_skip=None):
 
     Returns (summary, records); records cover the conduction-isomorphic
     positives, or every graph when ``record_all`` is set, sorted by order and
-    canonical graph6.  A recorded graph's verdict, in the summary and in its
-    record, is the one :func:`classification_report` decides; without
-    ``record_all`` the cheaper :func:`conduction_isomorphisms` screen runs
-    first, on chunks of :data:`SCREEN_CHUNK` graphs, and only its positives
-    are recorded.  Disconnected or looped input is skipped with a diagnostic
-    through ``on_skip``.
+    canonical graph6.  ``source`` is any iterable of graphs; it is pulled in
+    chunks of :data:`SCREEN_CHUNK` graphs, and the graphs of one order in a
+    chunk share one :func:`linalg.modular_adjugates` pass
+    (:func:`stacked_adjugates`).  A recorded graph's verdict, in the summary
+    and in its record, is the one :func:`classification_report` decides;
+    without ``record_all`` the cheaper :func:`conduction_isomorphisms`
+    screen runs first, reading that pass, and only its positives are
+    recorded.  A recorded graph whose pass certified X = d A^-1 (status
+    ``ADJUGATE``) is classified from the analysis of X, built when it is
+    recorded; any other is analysed by :func:`conduction_graph` alone.
+    Disconnected or looped input is skipped with a diagnostic through
+    ``on_skip``.
     """
     summary = CensusSummary()
     records = []
@@ -470,13 +507,16 @@ def run_census(source, record_all: bool = False, on_skip=None):
                 graphs.append(g)
             elif on_skip is not None:
                 on_skip(g, "input graph must be connected and simple")
+        stacks = stacked_adjugates(graphs)
         screened = [True] * len(graphs) if record_all else \
-            [w is not None for w in conduction_isomorphisms(graphs)]
-        for g, positive in zip(graphs, screened):
+            [w is not None for w in conduction_isomorphisms(graphs, stacks)]
+        inverses = certified_inverses(stacks, len(graphs))
+        for g, positive, x in zip(graphs, screened, inverses):
             if not positive:
                 summary.add(g.n, False, False)
                 continue
-            rec = census_record(g)
+            rec = census_record(g, None if x is None
+                                else BorderedAdjugate(g.n, x.tolist()))
             if not record_all:
                 check_theorem(rec.cond_iso,
                               f"screen positive {rec.graph6} fails its record")

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .conduction import (ConductionGraph, analyse, conduction_graph,
-                         inverse_conduction_pattern)
-from .graphs import Graph, bfs_distances, is_bipartite, is_connected
+from .conduction import (BorderedAdjugate, ConductionGraph, analyse,
+                         conduction_graph, inverse_conduction_pattern)
+from .graphs import Graph, is_bipartite, is_connected
 # TheoremCheckError and check_theorem live in isomorphism, which verifies
 # witnesses with them; they stay importable from here
 from .isomorphism import TheoremCheckError, check_theorem, find_isomorphism  # noqa: F401
@@ -118,24 +118,32 @@ class ClassCode:
 
 
 def class_code(g: Graph, cg: ConductionGraph | None = None) -> ClassCode:
-    """Two- and three-letter conduction class of a connected simple graph."""
+    """Two- and three-letter conduction class of a connected simple graph.
+
+    Each device's distance parity is a bit test: one frontier walk per
+    vertex u collects the vertices at even distance from u, and the devices
+    (u, v) with v > u are read against u's row of the conduction graph as
+    masks.  A vertex that u does not reach counts as odd."""
     if cg is None:
         cg = conduction_graph(g)
-    tallies = {"odd": [False, False], "even": [False, False],
-               "ipso": [False, False]}
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        loop = cg.graph.has_loop(u)
-        tallies["ipso"][0 if loop else 1] = True
-        for v in range(u + 1, g.n):
-            kind = "odd" if dist[v] % 2 else "even"
-            tallies[kind][0 if cg.graph.has_edge(u, v) else 1] = True
-    any_edge = any(tallies[k][0] for k in ("odd", "even"))
-    any_gap = any(tallies[k][1] for k in ("odd", "even"))
-    empty = tuple(k for k in ("odd", "even", "ipso")
-                  if not tallies[k][0] and not tallies[k][1])
+    n, rows = g.n, cg.graph.rows
+    full = (1 << n) - 1
+    odd_edge = odd_gap = even_edge = even_gap = False
+    for u in range(n - 1):
+        above = full >> (u + 1) << (u + 1)
+        even = _even_layers(g.rows, u) & above
+        odd = above & ~even
+        row = rows[u]
+        odd_edge = odd_edge or bool(odd & row)
+        odd_gap = odd_gap or bool(odd & ~row)
+        even_edge = even_edge or bool(even & row)
+        even_gap = even_gap or bool(even & ~row)
+    loops = cg.graph.loops
+    tallies = {"odd": (odd_edge, odd_gap), "even": (even_edge, even_gap),
+               "ipso": (loops != 0, loops != full)}
+    empty = tuple(k for k, (yes, no) in tallies.items() if not yes and not no)
     return ClassCode(
-        distinct_all=_letter(any_edge, any_gap),
+        distinct_all=_letter(odd_edge or even_edge, odd_gap or even_gap),
         distinct_odd=_letter(*tallies["odd"]),
         distinct_even=_letter(*tallies["even"]),
         ipso=_letter(*tallies["ipso"]),
@@ -143,6 +151,25 @@ def class_code(g: Graph, cg: ConductionGraph | None = None) -> ClassCode:
         bipartite_interpretation=is_bipartite(g),
         empty_classes=empty,
     )
+
+
+def _even_layers(rows, src: int) -> int:
+    """Mask of the vertices at even distance from ``src``, layer by layer."""
+    seen = even = frontier = 1 << src
+    odd_layer = True
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= rows[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+        if not odd_layer:
+            even |= frontier
+        odd_layer = not odd_layer
+    return even
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +182,7 @@ def conduction_isomorphism(g: Graph) -> list[int] | None:
     return conduction_isomorphisms([g])[0]
 
 
-def conduction_isomorphisms(graphs) -> list[list[int] | None]:
+def conduction_isomorphisms(graphs, stacks=None) -> list[list[int] | None]:
     """For each graph, in order, a witness bijection from it onto its
     conduction graph, or None.
 
@@ -163,20 +190,17 @@ def conduction_isomorphisms(graphs) -> list[list[int] | None]:
     and nonsingular, its conduction graph loopless and connected with the
     same degree sequence (the conduction graph of a disconnected graph is
     disconnected); only survivors pay for a canonical-form comparison.  The
-    graphs of one order share one :func:`linalg.modular_adjugates` call, and
-    the loop and degree screens read its verified patterns in numpy.  A
-    graph that the modular kernel leaves undecided goes to
+    graphs of one order share one :func:`linalg.modular_adjugates` call
+    (``stacks``, :func:`stacked_adjugates` of ``graphs``, made here when not
+    given), and the loop and degree screens read its verified patterns in
+    numpy.  A graph that the modular kernel leaves undecided goes to
     :func:`inverse_conduction_pattern`, whose route
     :func:`linalg.bordered_inverse` chooses.
     """
+    if stacks is None:
+        stacks = stacked_adjugates(graphs)
     out = [None] * len(graphs)
-    by_order = {}
-    for i, g in enumerate(graphs):
-        if g.is_simple():
-            by_order.setdefault(g.n, []).append(i)
-    for n, where in by_order.items():
-        a = _adjacency_stack([graphs[i] for i in where], n)
-        status, _, x = linalg.modular_adjugates(a)
+    for n, (where, a, status, x) in stacks.items():
         pattern = x != 0
         survives = ((status == linalg.ADJUGATE)
                     & ~pattern.diagonal(axis1=1, axis2=2).any(axis=1)
@@ -193,6 +217,33 @@ def conduction_isomorphisms(graphs) -> list[list[int] | None]:
             except linalg.SingularMatrixError:
                 continue
             out[where[k]] = _isomorphism_onto(g, rows, loops)
+    return out
+
+
+def stacked_adjugates(graphs) -> dict:
+    """One :func:`linalg.modular_adjugates` call per order over the simple
+    graphs of ``graphs``: order n -> (their positions in ``graphs``, their
+    (B, n, n) adjacency stack, status, X)."""
+    by_order = {}
+    for i, g in enumerate(graphs):
+        if g.is_simple():
+            by_order.setdefault(g.n, []).append(i)
+    stacks = {}
+    for n, where in by_order.items():
+        a = _adjacency_stack([graphs[i] for i in where], n)
+        status, _, x = linalg.modular_adjugates(a)
+        stacks[n] = where, a, status, x
+    return stacks
+
+
+def certified_inverses(stacks, count: int) -> list:
+    """Per graph of the ``count`` graphs behind ``stacks``: its X = d A^-1
+    (a view into the stack, used only after A X = d I held) where its status
+    is ``ADJUGATE``, else None."""
+    out = [None] * count
+    for where, _, status, x in stacks.values():
+        for k in np.flatnonzero(status == linalg.ADJUGATE).tolist():
+            out[where[k]] = x[k]
     return out
 
 
@@ -236,10 +287,16 @@ class ClassificationReport:
     loop_count: int
 
 
-def classification_report(g: Graph) -> ClassificationReport:
+def classification_report(g: Graph, analysis: BorderedAdjugate | None = None
+                          ) -> ClassificationReport:
     """Every field from the conduction graph and, for a singular graph, the
-    bordered adjugate that built it; no further elimination."""
-    cg = conduction_graph(g)
+    bordered adjugate that built it; no further elimination.  The conduction
+    graph is read from ``analysis`` when one is given (g's, as
+    :func:`conduction_graph` takes it), else ``conduction_graph(g)`` makes
+    its own."""
+    # g alone when there is no analysis: a stand-in for conduction_graph
+    # (a tracer, a fault injection) may take that one argument
+    cg = conduction_graph(g) if analysis is None else conduction_graph(g, analysis)
     eta = cg.nullity
     loopless = cg.graph.loops == 0
     witness = _isomorphism_onto(g, cg.graph.rows, cg.graph.loops)

@@ -347,15 +347,20 @@ def analyse(g: Graph, *contacts: int) -> BorderedAdjugate:
 # whole-graph construction
 # ---------------------------------------------------------------------------
 
-def conduction_graph(g: Graph) -> ConductionGraph:
+def conduction_graph(g: Graph,
+                     analysis: BorderedAdjugate | None = None) -> ConductionGraph:
     """Conduction graph of a connected simple graph, read from its analysis.
 
     A nonsingular graph booleanises its scaled inverse; a singular one walks
     the selection rules over its bordered adjugate.  Both routes agree with
     the tests' reference, direct deletions and the polynomial j-test, on
-    every device (tested exhaustively on small orders).
+    every device (tested exhaustively on small orders).  ``analysis``, when
+    given, is taken as g's (a :class:`BorderedAdjugate` of any nonzero
+    multiple of the adjugate, such as one built from a certified
+    ``d A^-1``); otherwise :func:`analyse` makes it.
     """
-    analysis = analyse(g)
+    if analysis is None:
+        analysis = analyse(g)
     if analysis.eta:
         graph, verdicts = _walk(analysis)
         return ConductionGraph(graph, verdicts, analysis.eta, analysis)

@@ -17,10 +17,11 @@ import pytest
 
 from condgraph import linalg
 from condgraph.census import enumerate_connected
+from condgraph.classify import ClassCode, _letter
 from condgraph.conduction import (ConductionGraph, DeviceVerdict, NullitySignature,
                                   Rule, _sub_char_poly, _sub_matrix,
                                   _verdict_from_signature, inverse_conduction_pattern)
-from condgraph.graphs import Graph, is_connected, reach
+from condgraph.graphs import Graph, bfs_distances, is_bipartite, is_connected, reach
 from condgraph.linalg import SingularMatrixError
 
 
@@ -324,6 +325,33 @@ def conduction_by_rules(g: Graph) -> ConductionGraph:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return ConductionGraph(Graph(n, rows, loops), verdicts, eta)
+
+
+def class_code_by_distances(g: Graph, cg: ConductionGraph) -> ClassCode:
+    """The class code from one ``bfs_distances`` list per vertex and one
+    ``has_edge`` test per distinct device of the conduction graph ``cg``."""
+    tallies = {"odd": [False, False], "even": [False, False],
+               "ipso": [False, False]}
+    for u in range(g.n):
+        dist = bfs_distances(g, u)
+        loop = cg.graph.has_loop(u)
+        tallies["ipso"][0 if loop else 1] = True
+        for v in range(u + 1, g.n):
+            kind = "odd" if dist[v] % 2 else "even"
+            tallies[kind][0 if cg.graph.has_edge(u, v) else 1] = True
+    any_edge = any(tallies[k][0] for k in ("odd", "even"))
+    any_gap = any(tallies[k][1] for k in ("odd", "even"))
+    empty = tuple(k for k in ("odd", "even", "ipso")
+                  if not tallies[k][0] and not tallies[k][1])
+    return ClassCode(
+        distinct_all=_letter(any_edge, any_gap),
+        distinct_odd=_letter(*tallies["odd"]),
+        distinct_even=_letter(*tallies["even"]),
+        ipso=_letter(*tallies["ipso"]),
+        nullity_digit=min(cg.nullity, 2),
+        bipartite_interpretation=is_bipartite(g),
+        empty_classes=empty,
+    )
 
 
 def ucg_by_deletions(g: Graph) -> bool:

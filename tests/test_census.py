@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import pickle
 from collections import Counter
 
 import pytest
@@ -14,10 +15,11 @@ from condgraph.census import (CensusStore, census_record, census_source,
                               enumerate_chemical, enumerate_connected,
                               ingest_graph6, run_census, run_census_persistent,
                               verify_family_coverage)
-from condgraph.classify import classification_report
+from condgraph.classify import classification_report, stacked_adjugates
 from condgraph.conduction import conduction_graph, graph_nullity
 from condgraph.fixtures import fixture
-from condgraph.graphs import Graph, from_graph6, to_graph6
+from condgraph.graphs import (Graph, complete_graph, cycle_graph, from_graph6,
+                              path_graph, to_graph6)
 from condgraph.isomorphism import canonical_data, canonical_form
 
 from conftest import connected_without, count_linalg_calls
@@ -170,21 +172,26 @@ def test_record_all_keeps_the_screen_verdicts(connected_upto_7):
 
 
 def test_record_all_eliminates_as_conduction_graph_does(monkeypatch):
-    # a recorded graph is classified once: no screen before its record.  One
-    # echelon of [A | I] per graph, and one more per singular graph whose
-    # bordered matrix is below the modular crossover (all of them at n = 10)
+    # a recorded graph is classified once: no screen before its record.  The
+    # graphs of a chunk share one modular pass, whose certified X classifies
+    # every nonsingular graph; a singular one pays what conduction_graph
+    # pays, one echelon of [A | I] and one of its bordered matrix (below the
+    # modular crossover for all of them at n = 10)
     graphs = list(enumerate_chemical(10))
     bordered = [g.n + graph_nullity(g) for g in graphs if graph_nullity(g)]
     assert len(bordered) == 816
     assert max(bordered) < linalg.MODULAR_MIN_ORDER
-    counts = count_linalg_calls(monkeypatch, "_echelon", "char_poly_and_adjugate")
+    counts = count_linalg_calls(monkeypatch, "_echelon", "char_poly_and_adjugate",
+                                "modular_adjugates")
     for g in graphs:
         conduction_graph(g)
-    alone = dict(counts)
-    assert alone == {"_echelon": 1733 + 816, "char_poly_and_adjugate": 0}
+    assert counts == {"_echelon": 1733 + 816, "char_poly_and_adjugate": 0,
+                      "modular_adjugates": 0}
     counts.update(dict.fromkeys(counts, 0))
     run_census(graphs, record_all=True)
-    assert counts == alone
+    chunks = -(-len(graphs) // census.SCREEN_CHUNK)
+    assert counts == {"_echelon": 2 * 816, "char_poly_and_adjugate": 0,
+                      "modular_adjugates": chunks}
 
 
 def test_production_never_runs_faddeev_leverrier(monkeypatch, connected_upto_7):
@@ -318,6 +325,63 @@ def test_shards_are_balanced(mode, n, shards):
               for shard in range(shards)]
     mean = sum(counts) / shards
     assert all(abs(count - mean) <= 0.25 * mean for count in counts), counts
+
+
+def test_census_records_reuse_the_labellings_of_the_walk(monkeypatch):
+    # a graph of an enumerated source carries the canonical data or the
+    # partition its acceptance made: its record reads the data, labels from
+    # the partition, and labels from scratch only with neither
+    calls = Counter()
+    recording = [False]
+    real_canonical, real_record = census.canonical_data, census.census_record
+
+    def canonical(g, cells=None):
+        calls["all"] += 1
+        if recording[0]:
+            calls["scratch" if cells is None else "cells"] += 1
+        return real_canonical(g, cells)
+
+    def record(*args):
+        recording[0] = True
+        try:
+            return real_record(*args)
+        finally:
+            recording[0] = False
+
+    monkeypatch.setattr(census, "canonical_data", canonical)
+    monkeypatch.setattr(census, "census_record", record)
+    source = list(census_source("chemical", 10, None))
+    _, records = run_census(source, record_all=True)
+    assert calls == {"all": 3437 - 811, "scratch": 461, "cells": 461}
+    monkeypatch.undo()
+    _, plain = run_census(enumerate_chemical(10), record_all=True)
+    assert [r.csv_row() for r in records] == [r.csv_row() for r in plain]
+    # the carried labelling does not travel: a source graph pickles plain
+    copy = pickle.loads(pickle.dumps(source[-1]))
+    assert type(copy) is Graph and copy == source[-1]
+
+
+def test_record_all_across_chunks_orders_and_statuses(tmp_path):
+    # an ingested file of mixed orders, longer than a chunk, in which the
+    # modular pass certifies some graphs nonsingular (ADJUGATE) or singular
+    # (SINGULAR) and leaves K16 - e undecided (no Hadamard certificate): each
+    # record equals the one its graph gets alone
+    k16 = complete_graph(16)
+    large = [cycle_graph(16), path_graph(17), fixture("fig6reg24"),
+             Graph.from_edges(16, [e for e in k16.edges() if e != (0, 1)])]
+    statuses = [int(stacked_adjugates([g])[g.n][2][0]) for g in large]
+    assert statuses == [linalg.SINGULAR, linalg.SINGULAR, linalg.ADJUGATE,
+                        linalg.UNDECIDED]
+    small = [g for pair in zip(enumerate_chemical(9), enumerate_chemical(10))
+             for g in pair]
+    graphs = small[:census.SCREEN_CHUNK - 2] + large + small[census.SCREEN_CHUNK - 2:]
+    assert len(graphs) > 2 * census.SCREEN_CHUNK
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    _, records = run_census(census_source("connected", None, path), record_all=True)
+    alone = sorted(map(census_record, graphs), key=lambda r: (r.n, r.graph6))
+    assert records == alone
+    assert {r.n for r in records} == {9, 10, 16, 17, 24}
 
 
 def test_census_source_keeps_the_labellings_of_its_split_order(monkeypatch):

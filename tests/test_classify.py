@@ -23,8 +23,8 @@ from condgraph.graphs import (Graph, adjacency_matrix, bipartition,
                               is_connected, path_graph)
 from condgraph.isomorphism import are_isomorphic
 
-from conftest import (count_linalg_calls, cubic_degree_theorem_check, cubic_with_twins,
-                      ucg_by_deletions)
+from conftest import (class_code_by_distances, count_linalg_calls,
+                      cubic_degree_theorem_check, cubic_with_twins, ucg_by_deletions)
 
 
 def test_ipso_omni_insulator_examples():
@@ -93,6 +93,16 @@ def test_class_code_examples(connected_upto_7):
     # benzene ring: nonsingular catafused benzenoid, all odd-distance pairs
     # conduct, nothing else does
     assert class_code(cycle_graph(6)).three_letter == "CII0"
+
+
+def test_class_code_matches_the_distance_reference(connected_upto_7):
+    # parity masks against one bfs_distances list per vertex, on every
+    # connected graph with n <= 7 and every chemical graph with n <= 10
+    graphs = [g for n in range(1, 8) for g in connected_upto_7[n]]
+    graphs += [g for n in range(8, 11) for g in enumerate_chemical(n)]
+    for g in graphs:
+        cg = conduction_graph(g)
+        assert class_code(g, cg) == class_code_by_distances(g, cg), g
 
 
 def test_cii_conduction_graph_is_complete_bipartite():
