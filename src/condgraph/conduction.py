@@ -36,12 +36,14 @@ The analysis is :func:`linalg.bordered_inverse` of the adjacency matrix:
 the exact kernel basis Z and d M^-1 for M = A bordered by Z.  It is the one
 function that chooses between the modular and the exact route, for the
 analysis and for the nullity-0 pattern of :func:`inverse_conduction_pattern`
-alike.  From order ``MODULAR_MIN_ORDER`` on a singular graph costs one
-Gauss-Jordan modulo p: the elimination that finds and lifts Z goes on to
-eliminate M, and each result is used only after its integer check.  The
-tests compare all of this with an independent reference in
-``tests/conftest.py``: the rule table over nullities of explicitly
-eliminated deletions and the polynomial j-test.
+alike.  From order ``MODULAR_MIN_ORDER`` on a nonsingular graph takes
+d A^-1 from one LAPACK inverse, rounded and used only once A X = d I holds
+in the integers: floating point proposes, the integers decide.  A singular
+graph, or a proposal that fails the check, costs one Gauss-Jordan modulo p:
+the elimination that finds and lifts Z goes on to eliminate M, and each
+result is used only after its integer check.  The tests compare all of this
+with an independent reference in ``tests/conftest.py``: the rule table over
+nullities of explicitly eliminated deletions and the polynomial j-test.
 """
 
 from __future__ import annotations
@@ -336,9 +338,9 @@ class BorderedAdjugate:
 def analyse(g: Graph, *contacts: int) -> BorderedAdjugate:
     """The analysis every verdict on a connected simple graph reads: d A^-1
     when A is nonsingular, else the adjugate of A bordered by its kernel
-    basis, both from :func:`linalg.bordered_inverse` (one modular
-    elimination from ``MODULAR_MIN_ORDER`` on).  ``contacts``, if given, must
-    be vertices of g."""
+    basis, both from :func:`linalg.bordered_inverse` (from
+    ``MODULAR_MIN_ORDER`` on a checked LAPACK inverse, else one modular
+    elimination).  ``contacts``, if given, must be vertices of g."""
     _require_device(g, *contacts)
     return BorderedAdjugate(g.n, linalg.bordered_inverse(adjacency_matrix(g))[2])
 

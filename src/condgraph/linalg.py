@@ -1,6 +1,6 @@
 """Exact linear algebra over the integers.
 
-Everything that decides conduction is computed here without floating point.
+Everything that decides conduction is decided here in the integers.
 One fraction-free (Bareiss) elimination, :func:`_echelon`, serves every
 production answer: determinants, ranks, nullities and kernel bases (integer
 back-substitution, every division exact) from the echelon of A, and adj(A)
@@ -13,10 +13,13 @@ well.  The `fractions.Fraction` inverse the tests compare against lives in
 :func:`bordered_inverse` alone chooses between the modular and the exact
 route.  For a symmetric A it gives the kernel basis Z and the scaled inverse
 of A bordered by Z (d A^-1 when Z is empty).  From order
-:data:`MODULAR_MIN_ORDER` on it first tries Gauss-Jordan modulo the prime
-p = 2**31 - 1 in numpy int64.  That arithmetic is exact, not approximate:
-residues stay below 2**31, so every product of two is below 2**62, and a
-product of matrices splits one factor into 16-bit limbs.  No modular result
+:data:`MODULAR_MIN_ORDER` on LAPACK first proposes d = round(det(A)) and
+X = rint(d A^-1), kept only once A X = d I holds in the integers (the check
+of the modular route below), so a nonsingular matrix that LAPACK gets right
+costs two LUs and one integer product.  Otherwise it tries Gauss-Jordan
+modulo the prime p = 2**31 - 1 in numpy int64.  That arithmetic is exact,
+not approximate: residues stay below 2**31, so every product of two is
+below 2**62, and a product of matrices splits one factor into 16-bit limbs.  No modular result
 is used before the integer check A X = d I holds, which makes X exactly
 d A^-1.  A column without a pivot modulo p is skipped, and the reduced
 echelon then gives one kernel vector per free column, lifted by rational
@@ -36,9 +39,12 @@ which bounds |det(A)| by prod_v sqrt(deg(v)) < p; that covers every
 connected graph with n <= 15.  Every other matrix is left to
 :func:`bordered_inverse`.
 
-Floating point is quarantined to :func:`float_spectrum`, which exists only for
-spectrum-shaped cross-checks (documented tolerance 1e-9 for the eigensolver,
-1e-6 against exact characteristic polynomial roots).
+Floating point only proposes; the integers decide.  LAPACK may propose a
+nonsingular X (:func:`_lapack_inverse`), which is used only once the integer
+check A X = d I holds, and a wrong proposal goes on to the modular route.
+Otherwise floating point is quarantined to :func:`float_spectrum`, which
+exists only for spectrum-shaped cross-checks (documented tolerance 1e-9 for
+the eigensolver, 1e-6 against exact characteristic polynomial roots).
 
 Matrices are plain lists of rows; rows are lists of ints.  That matches the
 scale of the problem: dense, symmetric, order <= 64.
@@ -238,22 +244,37 @@ def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
     """(Z, d, X) for a symmetric integer matrix A: Z its kernel basis (as
     :func:`kernel_basis` gives it, empty when A is nonsingular) and
     X = d M^-1 with d != 0 for the bordered matrix M = [[A, Z], [Z^T, 0]],
-    nonsingular because A is symmetric (M = A when Z is empty).  X equals
-    adj(M) whenever det(M) and every cofactor lie in (-p/2, p/2); the exact
-    routes give adj(M) itself.
+    nonsingular because A is symmetric (M = A when Z is empty).  Callers
+    rely on that alone.  The exact routes give d = det(M) and X = adj(M);
+    the modular one does whenever det(M) and every cofactor lie in
+    (-p/2, p/2), and LAPACK's proposal whenever its rounded determinant is
+    exact as well.
 
-    From order :data:`MODULAR_MIN_ORDER` on, one Gauss-Jordan modulo p
-    answers both (:func:`_modular_bordered`): the elimination of [A | I]
-    that finds the free columns and lifts Z goes on to eliminate M from the
-    state it left.  Z is used only once A z = 0 holds in the integers, X only
-    once M X = d I does.  A failed lift reads Z from the echelon of A; a
-    failed check, or a failed lift, leaves M to the echelon of [M | I]: no
-    matrix is eliminated modulo p twice.  Below that order the echelon of
-    [A | I] (:func:`_exact_inverse`) gives (det(A), adj(A)), or Z and then
-    the echelon of [M | I].
+    From order :data:`MODULAR_MIN_ORDER` on the row-sum guard runs once and
+    A becomes one int64 array, which both steps read:
+
+    1. LAPACK proposes d = round(det(A)) and X = rint(d A^-1)
+       (:func:`_lapack_inverse`); the pair is kept only when d != 0, |d|
+       and |X| stay below p/2 and A X = d I holds in the integers.  A
+       singular matrix pays one LU, for the determinant, and no inverse.
+    2. Otherwise one Gauss-Jordan modulo p answers both Z and X
+       (:func:`_modular_bordered`): the elimination of [A | I] that finds
+       the free columns and lifts Z goes on to eliminate M from the state
+       it left.  Z is used only once A z = 0 holds in the integers, X only
+       once M X = d I does.
+    3. A failed lift reads Z from the echelon of A; a failed check, or a
+       failed lift, leaves M to the echelon of [M | I]: no matrix is
+       eliminated modulo p twice.
+
+    Below that order the echelon of [A | I] (:func:`_exact_inverse`) gives
+    (det(A), adj(A)), or Z and then the echelon of [M | I].
     """
     if len(a) >= MODULAR_MIN_ORDER:
-        kernel, found = _modular_bordered(a)
+        ai = _int64(a)
+        kernel = found = None
+        if ai is not None:
+            found = _lapack_inverse(ai)
+            kernel, found = ([], found) if found else _modular_bordered(a, ai)
         if found is not None:
             return kernel, found[0], found[1].tolist()
         if kernel is None:
@@ -263,6 +284,39 @@ def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
         return ([], *_exact_inverse(a))
     except SingularMatrixError as exc:
         return (exc.kernel, *_exact_inverse(_border(a, exc.kernel)))
+
+
+def _int64(a) -> "np.ndarray | None":
+    """A as an int64 array; None for an empty matrix or one with a row whose
+    absolute sum exceeds 2**31, refused before anything reaches numpy."""
+    if not len(a) or any(sum(map(abs, row)) > _MAX_ROW_SUM for row in a):
+        return None
+    return np.array(a, dtype=np.int64)
+
+
+def _lapack_inverse(ai) -> "tuple[int, np.ndarray] | None":
+    """(d, X) with X = d A^-1 exactly for the int64 array A, proposed in
+    floating point and decided in the integers, or None.
+
+    LAPACK's determinant (one LU) rounds to d; a d of 0 or beyond p/2
+    declines before any inverse is formed.  X = rint(d A^-1) from LAPACK's
+    inverse must stay within p/2 as well.  The pair then goes through
+    :func:`_lift_and_check` as the residues of A^-1 = X d^-1 and of d, which
+    it lifts back to X and d exactly and keeps only when A X = d I holds in
+    int64.  A wrong proposal fails that check unless its X is still exactly
+    d A^-1, as it is for every d when det(A) = +-1."""
+    p = MODULUS
+    af = ai.astype(np.float64)
+    d = np.rint(np.linalg.det(af))
+    if not 0 < abs(d) <= p // 2:  # NaN and infinity fail here too
+        return None
+    xf = np.rint(d * np.linalg.inv(af))
+    if not (np.abs(xf) <= p // 2).all():
+        return None
+    d = int(d)
+    ok, d, x = _lift_and_check(ai, xf.astype(np.int64) % p * pow(d, -1, p) % p,
+                               np.int64(d % p))
+    return (int(d), x) if ok else None
 
 
 def _border(a, kernel) -> list[list[int]]:
@@ -295,19 +349,14 @@ def _exact_inverse(a) -> tuple[int, list[list[int]]]:
     return d, x
 
 
-def _modular_echelon(a):
-    """Gauss-Jordan on [A | I] modulo p = :data:`MODULUS`, a column without
-    a pivot skipped: (A, [R | E], pivots, d) with A as an int64 array,
+def _modular_echelon(ai):
+    """Gauss-Jordan on [A | I] modulo p = :data:`MODULUS` for the int64
+    array A, a column without a pivot skipped: ([R | E], pivots, d) with
     R = E A the reduced echelon of A (its rank-many pivot rows first),
     ``pivots`` the pivot column of each of those rows and d the running
-    determinant of :func:`_pivot_step`, det(A) modulo p at full rank.  None
-    for an empty matrix or one with a row whose absolute sum exceeds 2**31,
-    refused before anything reaches numpy."""
+    determinant of :func:`_pivot_step`, det(A) modulo p at full rank."""
     p = MODULUS
-    n = len(a)
-    if not n or any(sum(map(abs, row)) > _MAX_ROW_SUM for row in a):
-        return None
-    ai = np.array(a, dtype=np.int64)
+    n = len(ai)
     m = np.zeros((n, 2 * n), dtype=np.int64)
     m[:, :n] = ai % p
     m[:, n:] = np.eye(n, dtype=np.int64)
@@ -318,7 +367,7 @@ def _modular_echelon(a):
         if stepped is not None:  # else a free column: det(A) = 0 mod p
             d = stepped
             pivots.append(c)
-    return ai, m, pivots, d
+    return m, pivots, d
 
 
 def _pivot_step(m, r, c, d) -> "int | None":
@@ -339,7 +388,8 @@ def _pivot_step(m, r, c, d) -> "int | None":
         m[[r, k]] = m[[k, r]]
         d = p - d
     pivot = int(m[r, c])
-    m[r] = m[r] * pow(pivot, p - 2, p) % p
+    if pivot != 1:
+        m[r] = m[r] * pow(pivot, -1, p) % p
     col = m[:, c].copy()
     col[r] = 0
     hit = np.flatnonzero(col)
@@ -356,11 +406,13 @@ def _mul_mod(x, y):
     return ((x >> 16) @ y % p * (1 << 16) + (x & 0xFFFF) @ y) % p
 
 
-def _modular_bordered(a):
+def _modular_bordered(a, ai=None):
     """(Z, (d, X)) with Z the kernel basis of A and M X = d I exactly for
     M = [[A, Z], [Z^T, 0]], X an int64 array, from one Gauss-Jordan modulo
     p; (Z, None) when Z is certified but M is not decided (Z is empty for a
-    nonsingular A), and (None, None) when Z is not certified either.
+    nonsingular A), and (None, None) when Z is not certified either.  ``ai``
+    is A as :func:`_int64` gives it, made here when not given; A refused by
+    that guard gives (None, None).
 
     :func:`_modular_echelon` leaves E [A | I] = [R | E].  At full rank E is
     A^-1 modulo p and d is det(A) modulo p, lifted and checked by
@@ -377,10 +429,11 @@ def _modular_bordered(a):
     multiplies them.
     """
     p = MODULUS
-    first = _modular_echelon(a)
-    if first is None:
-        return None, None
-    ai, m, pivots, d = first
+    if ai is None:
+        ai = _int64(a)
+        if ai is None:
+            return None, None
+    m, pivots, d = _modular_echelon(ai)
     n, r = len(a), len(pivots)
     if r == n:
         ok, d, x = _lift_and_check(ai, m[:, n:], np.int64(d))

@@ -187,9 +187,9 @@ def count_linalg_calls(monkeypatch, *names) -> dict:
     for the rest of the test."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        def counted(a, _name=name, _real=getattr(linalg, name)):
+        def counted(*args, _name=name, _real=getattr(linalg, name)):
             counts[_name] += 1
-            return _real(a)
+            return _real(*args)
         monkeypatch.setattr(linalg, name, counted)
     return counts
 

@@ -411,17 +411,19 @@ def test_inverse_pattern_of_a_singular_graph_raises_its_kernel(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _record_modular_passes(monkeypatch):
-    """Try the modular half of linalg.bordered_inverse at every order and
-    log whether each attempt passed its check."""
+    """Try the modular half of linalg.bordered_inverse at every order, with
+    LAPACK's proposal declined, and log whether each attempt passed its
+    check."""
     results = []
     bordered = linalg._modular_bordered
 
-    def recorded(a):
-        out = bordered(a)
+    def recorded(*args):
+        out = bordered(*args)
         results.append(out[1] is not None)
         return out
 
     monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", 1)
+    monkeypatch.setattr(linalg, "_lapack_inverse", lambda ai: None)
     monkeypatch.setattr(linalg, "_modular_bordered", recorded)
     return results
 

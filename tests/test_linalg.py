@@ -1,5 +1,6 @@
 """Exact linear algebra against brute-force and floating oracles."""
 
+import warnings
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -12,15 +13,15 @@ from condgraph import linalg
 from condgraph.census import enumerate_chemical, enumerate_connected
 from condgraph.families import min_deg2_graph
 from condgraph.fixtures import fixture
-from condgraph.graphs import (adjacency_matrix, complete_graph, cycle_graph,
-                              path_graph)
+from condgraph.graphs import (adjacency_matrix, complete_bipartite_graph,
+                              complete_graph, cycle_graph, path_graph)
 from condgraph.linalg import (MODULUS, IntPolynomial, SingularMatrixError,
                               char_poly, char_poly_and_adjugate, det,
                               bordered_inverse, float_spectrum, kernel_basis,
                               nullity, rank)
 
-from conftest import (cofactor_adjugate, cubic_with_twins, fraction_inverse,
-                      prism, rational_rref_rank)
+from conftest import (cofactor_adjugate, count_linalg_calls, cubic_with_twins,
+                      fraction_inverse, prism, rational_rref_rank)
 
 
 def A(g):
@@ -209,34 +210,41 @@ def _border(a, kernel):
 
 
 def _both_halves(monkeypatch):
-    """Send every order to one half of bordered_inverse, then to the other,
-    and log whether each modular attempt passed its check: a crossover of
-    65 keeps orders <= 64 exact, 1 tries the prime first."""
+    """Send every order to each route of bordered_inverse in turn, and log
+    whether each modular attempt passed its check: a crossover of 65 keeps
+    orders <= 64 exact; 1 tries the prime first, with LAPACK's proposal
+    declined; 1 with the proposal on decides a nonsingular matrix before
+    the prime is tried."""
     attempts = []
     real = linalg._modular_bordered
+    proposal = linalg._lapack_inverse
 
-    def recorded(a):
-        out = real(a)
+    def recorded(*args):
+        out = real(*args)
         attempts.append(out[1] is not None)
         return out
 
     monkeypatch.setattr(linalg, "_modular_bordered", recorded)
-    for cut in (65, 1):
+    for cut, proposes in ((65, False), (1, False), (1, True)):
         monkeypatch.setattr(linalg, "MODULAR_MIN_ORDER", cut)
-        yield cut, attempts
+        monkeypatch.setattr(linalg, "_lapack_inverse",
+                            proposal if proposes else lambda ai: None)
+        yield cut, proposes, attempts
 
 
 def _assert_bordered_inverse(a, half):
     """bordered_inverse(a) is (Z, det(M), adj(M)) for Z = kernel_basis(a)
-    and M = A bordered by Z (M = A when A is nonsingular), and the half
-    under test decided: no modular attempt below the crossover, and one
-    that passed its check above it.  Returns Z."""
-    cut, attempts = half
+    and M = A bordered by Z (M = A when A is nonsingular), and the route
+    under test decided: no modular attempt below the crossover, none for a
+    nonsingular A when LAPACK proposes, and otherwise one that passed its
+    check.  Returns Z."""
+    cut, proposes, attempts = half
     attempts.clear()
     z = kernel_basis(a)
     m = _border(a, z)
     assert bordered_inverse(a) == (z, det(m), char_poly_and_adjugate(m)[1])
-    assert attempts == ([True] if len(a) >= cut else [])
+    modular = len(a) >= cut and not (proposes and not z)
+    assert attempts == ([True] if modular else [])
     return z
 
 
@@ -506,6 +514,89 @@ def test_nonsingular_matrix_that_fails_the_check_costs_one_echelon(monkeypatch):
     widths = _count_echelons(monkeypatch)
     assert bordered_inverse(a) == expected
     assert widths == [2 * n]
+
+
+# ---------------------------------------------------------------------------
+# the bordered inverse: LAPACK proposes, the integers decide
+# ---------------------------------------------------------------------------
+
+def _modular_route(a):
+    """(Z, d, X) as the modular pass gives it for a nonsingular A."""
+    kernel, (d, x) = linalg._modular_bordered(a)
+    return kernel, d, x.tolist()
+
+
+def test_wrong_lapack_inverse_leaves_the_matrix_to_the_prime(monkeypatch):
+    # one entry of LAPACK's inverse off by 1 puts an entry of X off by d, so
+    # A X = d I fails; an entry that is not a number fails the bound on |X|
+    # before any cast to int64 (which would warn).  Either way the modular
+    # pass decides, as if LAPACK were absent.
+    graphs = (min_deg2_graph(16), fixture("fig6reg24"))
+    expected = [_modular_route(A(g)) for g in graphs]
+    real = np.linalg.inv
+    skew = {}
+
+    def skewed(m):
+        out = real(m)
+        out[3, 5] = skew["entry"](out[3, 5])
+        return out
+
+    monkeypatch.setattr(np.linalg, "inv", skewed)
+    attempts = count_linalg_calls(monkeypatch, "_modular_bordered")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (lambda x: x + 1, lambda x: np.nan):
+            skew["entry"] = entry
+            for g, route in zip(graphs, expected):
+                attempts["_modular_bordered"] = 0
+                assert bordered_inverse(A(g)) == route
+                assert attempts["_modular_bordered"] == 1
+
+
+def test_wrong_lapack_determinant_is_refused_or_still_exact(monkeypatch):
+    # a determinant that rounds to 0, lies beyond p/2 or is not a number is
+    # refused before any inverse; det(fig6reg24) + 1 = 11665 is coprime to
+    # det = 11664, so 11665 A^-1 is not integral and the check refuses it.
+    # Either way the modular pass decides.  min_deg2_graph(16) has det 1, so
+    # A^-1 is integral and a wrong d = 2 passes the check with X = 2 A^-1:
+    # a different pair, but still exactly d A^-1.
+    real_det, real_inv = np.linalg.det, np.linalg.inv
+    wrong = {}
+    inverses = []
+    monkeypatch.setattr(np.linalg, "det", lambda m: wrong["det"](real_det(m)))
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda m: inverses.append(m) or real_inv(m))
+    for g, d in ((min_deg2_graph(16), 1), (fixture("fig6reg24"), 11664)):
+        a = A(g)
+        route = _modular_route(a)
+        assert route[1] == d
+        for refused in (0.4, float(MODULUS), float("nan"), -float("inf")):
+            wrong["det"] = lambda x: refused
+            assert bordered_inverse(a) == route
+        assert inverses == []
+        wrong["det"] = lambda x: x + 1
+        if d == 1:
+            assert bordered_inverse(a) == ([], 2, [[2 * v for v in row]
+                                                   for row in route[2]])
+        else:
+            assert bordered_inverse(a) == route
+        assert len(inverses) == 1
+        inverses.clear()
+
+
+def test_singular_matrix_pays_no_lapack_inverse(monkeypatch):
+    # LAPACK's determinant of these singular graphs rounds to 0, so no
+    # inverse is formed and the one modular pass finds the kernel
+    graphs = (cycle_graph(40), path_graph(41), cubic_with_twins(40),
+              complete_bipartite_graph(6, 20))
+    expected = [kernel_basis(A(g)) for g in graphs]
+    inverses = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m) or real(m))
+    counts = count_linalg_calls(monkeypatch, "_modular_echelon")
+    for g, kernel in zip(graphs, expected):
+        assert kernel and bordered_inverse(A(g))[0] == kernel
+    assert inverses == [] and counts["_modular_echelon"] == len(graphs)
 
 
 # ---------------------------------------------------------------------------
