@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .conduction import (BorderedAdjugate, ConductionGraph, analyse,
                          conduction_graph, inverse_conduction_pattern)
-from .graphs import Graph, is_bipartite, is_connected
+from .graphs import Graph, adjacency_array, is_bipartite, is_connected
 # TheoremCheckError and check_theorem live in isomorphism, which verifies
 # witnesses with them; they stay importable from here
 from .isomorphism import TheoremCheckError, check_theorem, find_isomorphism  # noqa: F401
@@ -230,7 +230,7 @@ def stacked_adjugates(graphs) -> dict:
             by_order.setdefault(g.n, []).append(i)
     stacks = {}
     for n, where in by_order.items():
-        a = _adjacency_stack([graphs[i] for i in where], n)
+        a = adjacency_array([graphs[i] for i in where])
         status, _, x = linalg.modular_adjugates(a)
         stacks[n] = where, a, status, x
     return stacks
@@ -245,13 +245,6 @@ def certified_inverses(stacks, count: int) -> list:
         for k in np.flatnonzero(status == linalg.ADJUGATE).tolist():
             out[where[k]] = x[k]
     return out
-
-
-def _adjacency_stack(graphs, n: int) -> np.ndarray:
-    """(B, n, n) int64 adjacency matrices of simple graphs of order n."""
-    rows = np.frombuffer(b"".join(g.rows.tobytes() for g in graphs),
-                         dtype=np.uint64).reshape(len(graphs), n, 1)
-    return (rows >> np.arange(n, dtype=np.uint64) & np.uint64(1)).astype(np.int64)
 
 
 def _isomorphism_onto(g: Graph, rows, loops: int) -> list[int] | None:

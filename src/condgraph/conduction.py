@@ -23,7 +23,8 @@ device, a loop per conducting single contact.  It is read from the analysis
 by one of two routes, chosen by the nullity:
 
 * nullity 0: booleanise the scaled inverse (it shares the inverse's zero
-  pattern and never leaves the integers);
+  pattern and never leaves the integers), in numpy when the analysis holds
+  it as an int64 array;
 * any other nullity: walk every device through the selection rules over the
   bordered adjugate.  The walk skips the double deletion wherever the
   single-deletion shifts already fix the row; in a nullity-1 graph that
@@ -32,28 +33,39 @@ by one of two routes, chosen by the nullity:
   border row is read once, as a scale and a primitive direction, and every
   verdict is one shared :class:`DeviceVerdict` per rule row.
 
+Construction computes the graph, and a singular graph's walk its verdicts;
+:meth:`ConductionGraph.verdict` answers one device, and the dict
+:attr:`ConductionGraph.verdicts` is built only when it is read.
+
 The analysis is :func:`linalg.bordered_inverse` of the adjacency matrix:
 the exact kernel basis Z and d M^-1 for M = A bordered by Z.  It is the one
 function that chooses between the modular and the exact route, for the
 analysis and for the nullity-0 pattern of :func:`inverse_conduction_pattern`
-alike.  From order ``MODULAR_MIN_ORDER`` on a nonsingular graph takes
-d A^-1 from one LAPACK inverse, rounded and used only once A X = d I holds
-in the integers: floating point proposes, the integers decide.  A singular
-graph, or a proposal that fails the check, costs one Gauss-Jordan modulo p:
-the elimination that finds and lifts Z goes on to eliminate M, and each
-result is used only after its integer check.  The tests compare all of this
-with an independent reference in ``tests/conftest.py``: the rule table over
-nullities of explicitly eliminated deletions and the polynomial j-test.
+alike.  From order ``MODULAR_MIN_ORDER`` on it reads A as the int64 array
+unpacked from the graph's rows, and a nonsingular graph takes d A^-1 from
+one LAPACK inverse, rounded and used only once A X = d I holds in the
+integers (two exact float64 products): floating point proposes, the
+integers decide.  A singular graph, or a proposal that fails the check,
+costs one Gauss-Jordan modulo p: the elimination that finds and lifts Z
+goes on to eliminate M, and each result is used only after its integer
+check.  Below that order A stays lists of ints for the exact route.  The
+tests compare all of this with an independent reference in
+``tests/conftest.py``: the rule table over nullities of explicitly
+eliminated deletions and the polynomial j-test.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
+import numpy as np
+
 from . import linalg
-from .graphs import Graph, adjacency_matrix, connected_components, is_connected
+from .graphs import (Graph, adjacency_array, adjacency_matrix,
+                     connected_components, is_connected)
 from .linalg import IntPolynomial
 
 
@@ -142,26 +154,56 @@ _ROW_VERDICT = {row: DeviceVerdict(conducts, Rule(row))
 _JTEST_VERDICT = {conducts: DeviceVerdict(conducts, Rule.EQUAL_NULLITY_JTEST)
                   for conducts in (False, True)}
 _BLOCKS_VERDICT = DeviceVerdict(True, Rule.NULLITY1_BLOCKS)
-_INVERSE_CONDUCTS = DeviceVerdict(True, Rule.INVERSE_PATTERN)
-_INVERSE_INSULATES = DeviceVerdict(False, Rule.INVERSE_PATTERN)
+_INVERSE_VERDICT = (DeviceVerdict(False, Rule.INVERSE_PATTERN),
+                    DeviceVerdict(True, Rule.INVERSE_PATTERN))  # by entry != 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConductionGraph:
     """The conduction graph plus the per-device provenance that built it.
 
     ``nullity`` is the base graph's; ``analysis`` is the bordered adjugate
     that decided a singular graph's verdicts (None on the inverse route).
+    ``walked`` holds, as the walk of a singular graph yields them, per
+    vertex u the shared :class:`DeviceVerdict` of (u, u), (u, u + 1), ...,
+    (u, n - 1); it is None on the inverse route, where a device's verdict is
+    its edge or loop in the graph.  :meth:`verdict` answers one device, and
+    :attr:`verdicts`, the same shared verdicts keyed by (u, v) with u <= v,
+    is built when first read.
     """
 
     graph: Graph
-    verdicts: dict
+    walked: "list[list[DeviceVerdict]] | None" = field(repr=False)
     nullity: int
-    analysis: "BorderedAdjugate | None" = field(default=None, repr=False,
-                                                compare=False)
+    analysis: "BorderedAdjugate | None" = field(default=None, repr=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, ConductionGraph) and self.graph == other.graph
+                and self.nullity == other.nullity
+                and self.verdicts == other.verdicts)
+
+    @cached_property
+    def verdicts(self) -> dict:
+        """Every device's verdict, keyed by (u, v) with u <= v."""
+        if self.walked is not None:
+            return {(u, v): dv for u, row in enumerate(self.walked)
+                    for v, dv in enumerate(row, u)}
+        n, rows, loops = self.graph.n, self.graph.rows, self.graph.loops
+        return {(u, v): _INVERSE_VERDICT[
+                    (loops >> u if u == v else rows[u] >> v) & 1]
+                for u in range(n) for v in range(u, n)}
 
     def verdict(self, u: int, v: int) -> DeviceVerdict:
-        return self.verdicts[(u, v) if u <= v else (v, u)]
+        """The device (u, v)'s verdict (u == v for ipso), read without
+        building :attr:`verdicts`."""
+        if u > v:
+            u, v = v, u
+        if not 0 <= u <= v < self.graph.n:
+            raise KeyError((u, v))
+        if self.walked is not None:
+            return self.walked[u][v - u]
+        bit = self.graph.loops >> u if u == v else self.graph.rows[u] >> v
+        return _INVERSE_VERDICT[bit & 1]
 
     def loop_count(self) -> int:
         return self.graph.loops.bit_count()
@@ -284,17 +326,22 @@ class BorderedAdjugate:
     Every test made on ``adj`` is homogeneous in its entries, so any nonzero
     multiple of adj(M) gives the same answers; ``adj`` is the X of
     :func:`linalg.bordered_inverse`, d M^-1 with d != 0, whose order past n
-    is the nullity.
+    is the nullity.  ``matrix`` is X as the int64 array a numpy route
+    checked, or None when X came as lists.
     """
 
-    __slots__ = ("n", "eta", "adj", "scale", "direction")
+    __slots__ = ("n", "eta", "adj", "matrix", "scale", "direction")
 
     def __init__(self, n: int, adj):
         """Take ``adj``, a nonzero multiple of adj(M) for a graph of order n,
-        and read each vertex's border row b_u once, as
-        scale[u] * direction[u] with direction[u] primitive and its first
+        as lists of ints or as an int64 array (kept as ``matrix``; ``adj``
+        then holds its lists), and read each vertex's border row b_u once,
+        as scale[u] * direction[u] with direction[u] primitive and its first
         nonzero entry positive (scale 0 for a zero row): two rows are
         parallel exactly when their directions match."""
+        self.matrix = adj if hasattr(adj, "dtype") else None
+        if self.matrix is not None:
+            adj = adj.tolist()
         self.n, self.eta, self.adj = n, len(adj) - n, adj
         self.scale = [0] * n
         self.direction = [()] * n
@@ -338,11 +385,22 @@ class BorderedAdjugate:
 def analyse(g: Graph, *contacts: int) -> BorderedAdjugate:
     """The analysis every verdict on a connected simple graph reads: d A^-1
     when A is nonsingular, else the adjugate of A bordered by its kernel
-    basis, both from :func:`linalg.bordered_inverse` (from
-    ``MODULAR_MIN_ORDER`` on a checked LAPACK inverse, else one modular
-    elimination).  ``contacts``, if given, must be vertices of g."""
+    basis, both from :func:`linalg.bordered_inverse` of :func:`_matrix`
+    (from ``MODULAR_MIN_ORDER`` on a checked LAPACK inverse, else one
+    modular elimination, each kept as its int64 array).  ``contacts``, if
+    given, must be vertices of g."""
     _require_device(g, *contacts)
-    return BorderedAdjugate(g.n, linalg.bordered_inverse(adjacency_matrix(g))[2])
+    return BorderedAdjugate(
+        g.n, linalg.bordered_inverse(_matrix(g), as_lists=False)[2])
+
+
+def _matrix(g: Graph):
+    """g's adjacency matrix as :func:`linalg.bordered_inverse` reads it: from
+    ``MODULAR_MIN_ORDER`` on the int64 array unpacked from its rows, below
+    it lists of rows, which the exact route reads without numpy."""
+    if g.n >= linalg.MODULAR_MIN_ORDER:
+        return adjacency_array(g)
+    return adjacency_matrix(g)
 
 
 # ---------------------------------------------------------------------------
@@ -353,33 +411,30 @@ def conduction_graph(g: Graph,
                      analysis: BorderedAdjugate | None = None) -> ConductionGraph:
     """Conduction graph of a connected simple graph, read from its analysis.
 
-    A nonsingular graph booleanises its scaled inverse; a singular one walks
-    the selection rules over its bordered adjugate.  Both routes agree with
-    the tests' reference, direct deletions and the polynomial j-test, on
-    every device (tested exhaustively on small orders).  ``analysis``, when
-    given, is taken as g's (a :class:`BorderedAdjugate` of any nonzero
-    multiple of the adjugate, such as one built from a certified
-    ``d A^-1``); otherwise :func:`analyse` makes it.
+    A nonsingular graph booleanises its scaled inverse (in numpy when the
+    analysis holds it as an array); a singular one walks the selection
+    rules over its bordered adjugate, which decides every device and so
+    raises :class:`SignatureError` here, not when a verdict is read.  Both
+    routes agree with the tests' reference, direct deletions and the
+    polynomial j-test, on every device (tested exhaustively on small
+    orders).  ``analysis``, when given, is taken as g's (a
+    :class:`BorderedAdjugate` of any nonzero multiple of the adjugate, such
+    as one built from a certified ``d A^-1``); otherwise :func:`analyse`
+    makes it.
     """
     if analysis is None:
         analysis = analyse(g)
     if analysis.eta:
-        graph, verdicts = _walk(analysis)
-        return ConductionGraph(graph, verdicts, analysis.eta, analysis)
-    rows, loops = _pattern(analysis.adj)
-    verdicts = {}
-    for u in range(g.n):
-        row = rows[u]
-        verdicts[(u, u)] = _INVERSE_CONDUCTS if loops >> u & 1 \
-            else _INVERSE_INSULATES
-        for v in range(u + 1, g.n):
-            verdicts[(u, v)] = _INVERSE_CONDUCTS if row >> v & 1 \
-                else _INVERSE_INSULATES
-    return ConductionGraph(Graph(g.n, rows, loops), verdicts, 0)
+        graph, walked = _walk(analysis)
+        return ConductionGraph(graph, walked, analysis.eta, analysis)
+    x = analysis.adj if analysis.matrix is None else analysis.matrix
+    return ConductionGraph(Graph(g.n, *_pattern(x)), None, 0)
 
 
-def _walk(analysis: BorderedAdjugate) -> tuple[Graph, dict]:
-    """Every device of a singular graph through the selection rules.
+def _walk(analysis: BorderedAdjugate) -> tuple[Graph, list]:
+    """Every device of a singular graph through the selection rules: the
+    conduction graph, and per vertex u the verdicts of (u, u), (u, u + 1),
+    ..., (u, n - 1).
 
     The single-deletion shifts eta(G-v) - eta come first; eta(G-u-v) is
     asked for only where the shifts of u and v leave the row open.  A
@@ -397,13 +452,13 @@ def _walk(analysis: BorderedAdjugate) -> tuple[Graph, dict]:
               (0, -1): _ROW_VERDICT[(0, -1, -1)]}
     if eta == 1:
         forced[(-1, -1)] = _BLOCKS_VERDICT
-    verdicts = {}
+    walked = []
     rows = [0] * n
     loops = 0
     for u in range(n):
         su = shift[u]
         dv = _table_verdict((su,), u, u, analysis.conducts)
-        verdicts[(u, u)] = dv
+        row = [dv]
         if dv.conducts:
             loops |= 1 << u
         for v in range(u + 1, n):
@@ -413,11 +468,12 @@ def _walk(analysis: BorderedAdjugate) -> tuple[Graph, dict]:
             if dv is None:
                 dv = _table_verdict(pair + (nullity(u, v) - eta,), u, v,
                                     analysis.conducts)
-            verdicts[(u, v)] = dv
+            row.append(dv)
             if dv.conducts:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return Graph(n, rows, loops), verdicts
+        walked.append(row)
+    return Graph(n, rows, loops), walked
 
 
 def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
@@ -429,7 +485,7 @@ def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
     :class:`~condgraph.linalg.SingularMatrixError` with the kernel basis the
     same call found.
     """
-    kernel, _, x = linalg.bordered_inverse(adjacency_matrix(g))
+    kernel, _, x = linalg.bordered_inverse(_matrix(g), as_lists=False)
     if kernel:
         raise linalg.SingularMatrixError(kernel)
     return _pattern(x)
@@ -437,8 +493,15 @@ def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
 
 def _pattern(x) -> tuple[list[int], int]:
     """Adjacency rows and loop mask of the nonzero pattern of a symmetric
-    matrix."""
+    matrix: in numpy for an int64 array, by a walk over the entries for
+    lists (the exact route's, whose ints may not fit int64)."""
     n = len(x)
+    if hasattr(x, "dtype"):
+        bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+        nonzero = x != 0
+        diagonal = nonzero.diagonal() * bits
+        return ((nonzero * bits).sum(axis=1) ^ diagonal).tolist(), \
+            int(diagonal.sum())
     rows = [0] * n
     loops = 0
     for i in range(n):

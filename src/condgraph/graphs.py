@@ -19,6 +19,8 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Sequence
 
+import numpy as np
+
 MAX_VERTICES = 64
 
 
@@ -185,6 +187,21 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
     for v in bit_indices(g.loops):
         a[v][v] = 2
     return a
+
+
+def adjacency_array(graphs: "Graph | Sequence[Graph]") -> np.ndarray:
+    """The int64 adjacency matrix of a simple graph, shape (n, n), or the
+    (B, n, n) stack of those of a non-empty sequence of B simple graphs of
+    one order, unpacked in numpy from the 64-bit words of their rows (the
+    loop set is not read).  Equal to :func:`adjacency_matrix` of each."""
+    if isinstance(graphs, Graph):
+        return adjacency_array([graphs])[0]
+    n = graphs[0].n
+    words = np.frombuffer(b"".join(g.rows for g in graphs), dtype=np.uint64)
+    # little-endian bytes put vertex j at bit j % 8 of byte j // 8
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, count=n, bitorder="little")
+    return bits.astype(np.int64).reshape(len(graphs), n, n)
 
 
 def graph_from_adjacency(a: Sequence[Sequence[int]]) -> Graph:

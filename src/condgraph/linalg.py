@@ -14,21 +14,27 @@ well.  The `fractions.Fraction` inverse the tests compare against lives in
 route.  For a symmetric A it gives the kernel basis Z and the scaled inverse
 of A bordered by Z (d A^-1 when Z is empty).  From order
 :data:`MODULAR_MIN_ORDER` on LAPACK first proposes d = round(det(A)) and
-X = rint(d A^-1), kept only once A X = d I holds in the integers (the check
-of the modular route below), so a nonsingular matrix that LAPACK gets right
-costs two LUs and one integer product.  Otherwise it tries Gauss-Jordan
-modulo the prime p = 2**31 - 1 in numpy int64.  That arithmetic is exact,
-not approximate: residues stay below 2**31, so every product of two is
-below 2**62, and a product of matrices splits one factor into 16-bit limbs.  No modular result
-is used before the integer check A X = d I holds, which makes X exactly
-d A^-1.  A column without a pivot modulo p is skipped, and the reduced
-echelon then gives one kernel vector per free column, lifted by rational
-reconstruction (Wang, Guy & Davenport 1982; Dixon 1982) and used only once
-A z = 0 holds in the integers for every vector, which certifies it as the
-basis of :func:`kernel_basis`.  The same elimination then goes on over the
-bordered matrix M from the state it left, so a singular matrix costs one
-modular pass, and its X is used only once M X = d I holds.  When a check or
-a lift fails the echelon decides.
+X = rint(d A^-1), kept only once A X = d I holds in the integers, so a
+nonsingular matrix that LAPACK gets right costs two LUs and the check.
+Otherwise it tries Gauss-Jordan modulo the prime p = 2**31 - 1 in numpy
+int64.  That arithmetic is exact, not approximate: residues stay below
+2**31, so every product of two is below 2**62, and a product of matrices
+splits one factor into 16-bit limbs.  No modular result is used before the
+integer check A X = d I holds, which makes X exactly d A^-1.  A column
+without a pivot modulo p is skipped, and the reduced echelon then gives one
+kernel vector per free column, lifted by rational reconstruction (Wang, Guy
+& Davenport 1982; Dixon 1982) and used only once A z = 0 holds in the
+integers for every vector, which certifies it as the basis of
+:func:`kernel_basis`.  The same elimination then goes on over the bordered
+matrix M from the state it left, so a singular matrix costs one modular
+pass, and its X is used only once M X = d I holds.  When a check or a lift
+fails the echelon decides.
+
+The check A X = d I of one matrix (:func:`_is_scaled_inverse`) is two
+float64 BLAS products over X = 2**15 X_hi + X_lo, recombined in int64
+(:func:`_exact_product`): with absolute row sums of A at most 2**31 and
+|X| < p/2 every partial sum is an integer below 2**46, so each float64
+product is exact.
 
 A stack of matrices of one order, such as a census chunk of graphs, goes
 through :func:`modular_adjugates`: the same Gauss-Jordan, each row operation
@@ -42,12 +48,16 @@ connected graph with n <= 15.  Every other matrix is left to
 Floating point only proposes; the integers decide.  LAPACK may propose a
 nonsingular X (:func:`_lapack_inverse`), which is used only once the integer
 check A X = d I holds, and a wrong proposal goes on to the modular route.
-Otherwise floating point is quarantined to :func:`float_spectrum`, which
-exists only for spectrum-shaped cross-checks (documented tolerance 1e-9 for
-the eigensolver, 1e-6 against exact characteristic polynomial roots).
+The float64 products of that check carry only integers they represent
+exactly.  Otherwise floating point is quarantined to :func:`float_spectrum`,
+which exists only for spectrum-shaped cross-checks (documented tolerance
+1e-9 for the eigensolver, 1e-6 against exact characteristic polynomial
+roots).
 
 Matrices are plain lists of rows; rows are lists of ints.  That matches the
-scale of the problem: dense, symmetric, order <= 64.
+scale of the problem: dense, symmetric, order <= 64.  :func:`bordered_inverse`
+also takes a graph's int64 adjacency array, which its numpy routes read
+without a conversion.
 """
 
 from __future__ import annotations
@@ -240,7 +250,8 @@ MODULUS = (1 << 31) - 1
 _MAX_ROW_SUM = 1 << 31
 
 
-def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
+def bordered_inverse(a, as_lists: bool = True
+                     ) -> tuple[list[list[int]], int, "list[list[int]] | np.ndarray"]:
     """(Z, d, X) for a symmetric integer matrix A: Z its kernel basis (as
     :func:`kernel_basis` gives it, empty when A is nonsingular) and
     X = d M^-1 with d != 0 for the bordered matrix M = [[A, Z], [Z^T, 0]],
@@ -250,13 +261,20 @@ def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
     (-p/2, p/2), and LAPACK's proposal whenever its rounded determinant is
     exact as well.
 
-    From order :data:`MODULAR_MIN_ORDER` on the row-sum guard runs once and
-    A becomes one int64 array, which both steps read:
+    A is a list of rows or an int64 array, such as
+    :func:`graphs.adjacency_array` of a graph.  X comes back as lists of
+    Python ints; with ``as_lists`` false, an X that a numpy route decided
+    stays the int64 array it was checked as (the exact routes give lists).
+
+    From order :data:`MODULAR_MIN_ORDER` on A is guarded once, a list's
+    absolute row sums in Python before numpy sees it and an array's in
+    numpy, and becomes one int64 array, which both steps read:
 
     1. LAPACK proposes d = round(det(A)) and X = rint(d A^-1)
        (:func:`_lapack_inverse`); the pair is kept only when d != 0, |d|
-       and |X| stay below p/2 and A X = d I holds in the integers.  A
-       singular matrix pays one LU, for the determinant, and no inverse.
+       and |X| stay below p/2 and A X = d I holds in the integers
+       (:func:`_is_scaled_inverse`).  A singular matrix pays one LU, for the
+       determinant, and no inverse.
     2. Otherwise one Gauss-Jordan modulo p answers both Z and X
        (:func:`_modular_bordered`): the elimination of [A | I] that finds
        the free columns and lifts Z goes on to eliminate M from the state
@@ -264,7 +282,7 @@ def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
        once M X = d I does.
     3. A failed lift reads Z from the echelon of A; a failed check, or a
        failed lift, leaves M to the echelon of [M | I]: no matrix is
-       eliminated modulo p twice.
+       eliminated modulo p twice.  An array A becomes lists only here.
 
     Below that order the echelon of [A | I] (:func:`_exact_inverse`) gives
     (det(A), adj(A)), or Z and then the echelon of [M | I].
@@ -276,20 +294,35 @@ def bordered_inverse(a) -> tuple[list[list[int]], int, list[list[int]]]:
             found = _lapack_inverse(ai)
             kernel, found = ([], found) if found else _modular_bordered(a, ai)
         if found is not None:
-            return kernel, found[0], found[1].tolist()
+            return kernel, found[0], (found[1].tolist() if as_lists else found[1])
+        a = _rows(a)
         if kernel is None:
             kernel = kernel_basis(a)
         return (kernel, *_exact_inverse(_border(a, kernel)))
+    a = _rows(a)
     try:
         return ([], *_exact_inverse(a))
     except SingularMatrixError as exc:
         return (exc.kernel, *_exact_inverse(_border(a, exc.kernel)))
 
 
+def _rows(a) -> list[list[int]]:
+    """A as lists of rows: an array's ``tolist()``, anything else as is."""
+    return a.tolist() if hasattr(a, "dtype") else a
+
+
 def _int64(a) -> "np.ndarray | None":
     """A as an int64 array; None for an empty matrix or one with a row whose
-    absolute sum exceeds 2**31, refused before anything reaches numpy."""
-    if not len(a) or any(sum(map(abs, row)) > _MAX_ROW_SUM for row in a):
+    absolute sum exceeds 2**31.  A list is refused before anything reaches
+    numpy; an int64 array is summed in float64, exact up to 2**53 and so
+    exact about the bound (a graph's row sums are at most 63)."""
+    if not len(a):
+        return None
+    if hasattr(a, "dtype"):
+        if np.abs(a.astype(np.float64)).sum(axis=1).max() > _MAX_ROW_SUM:
+            return None
+        return a
+    if any(sum(map(abs, row)) > _MAX_ROW_SUM for row in a):
         return None
     return np.array(a, dtype=np.int64)
 
@@ -300,11 +333,11 @@ def _lapack_inverse(ai) -> "tuple[int, np.ndarray] | None":
 
     LAPACK's determinant (one LU) rounds to d; a d of 0 or beyond p/2
     declines before any inverse is formed.  X = rint(d A^-1) from LAPACK's
-    inverse must stay within p/2 as well.  The pair then goes through
-    :func:`_lift_and_check` as the residues of A^-1 = X d^-1 and of d, which
-    it lifts back to X and d exactly and keeps only when A X = d I holds in
-    int64.  A wrong proposal fails that check unless its X is still exactly
-    d A^-1, as it is for every d when det(A) = +-1."""
+    inverse must stay within p/2 as well, which keeps a NaN or an infinity
+    from the cast to int64.  The pair is kept only when
+    :func:`_is_scaled_inverse` finds A X = d I, which holds exactly when X
+    is d A^-1.  A wrong proposal fails that check unless its X is still
+    exactly d A^-1, as it is for every d when det(A) = +-1."""
     p = MODULUS
     af = ai.astype(np.float64)
     d = np.rint(np.linalg.det(af))
@@ -313,10 +346,8 @@ def _lapack_inverse(ai) -> "tuple[int, np.ndarray] | None":
     xf = np.rint(d * np.linalg.inv(af))
     if not (np.abs(xf) <= p // 2).all():
         return None
-    d = int(d)
-    ok, d, x = _lift_and_check(ai, xf.astype(np.int64) % p * pow(d, -1, p) % p,
-                               np.int64(d % p))
-    return (int(d), x) if ok else None
+    d, x = int(d), xf.astype(np.int64)
+    return (d, x) if _is_scaled_inverse(af, x, d) else None
 
 
 def _border(a, kernel) -> list[list[int]]:
@@ -415,9 +446,9 @@ def _modular_bordered(a, ai=None):
     that guard gives (None, None).
 
     :func:`_modular_echelon` leaves E [A | I] = [R | E].  At full rank E is
-    A^-1 modulo p and d is det(A) modulo p, lifted and checked by
-    :func:`_lift_and_check`.  Otherwise :func:`_lifted_kernel` lifts and
-    checks Z, and the same elimination goes on over
+    A^-1 modulo p and d is det(A) modulo p, lifted by :func:`_lift` and
+    checked by :func:`_is_scaled_inverse`.  Otherwise :func:`_lifted_kernel`
+    lifts and checks Z, and the same elimination goes on over
     E' [M | I] = [[R, E Z, E, 0], [Z^T, 0, 0, I]], E' = diag(E, I): the
     border rows are reduced against the r pivot rows in one product, and
     2 eta further pivot steps take the free columns of A, then the border
@@ -425,7 +456,7 @@ def _modular_bordered(a, ai=None):
     (k, order[k]) and the right block T has T M = P, so row order[k] of
     M^-1 is row k of T and det(M) = sign(order) * d.  The products E Z and
     the border update run through :func:`_mul_mod`.  M's rows, border rows
-    included, pass the 2**31 row-sum guard before :func:`_lift_and_check`
+    included, pass the 2**31 row-sum guard before :func:`_is_scaled_inverse`
     multiplies them.
     """
     p = MODULUS
@@ -436,9 +467,9 @@ def _modular_bordered(a, ai=None):
     m, pivots, d = _modular_echelon(ai)
     n, r = len(a), len(pivots)
     if r == n:
-        ok, d, x = _lift_and_check(ai, m[:, n:], np.int64(d))
-        return [], ((int(d), x) if ok else None)
-    kernel = _lifted_kernel(a, m[:r, :n].tolist(), pivots)
+        d, x = _lift(m[:, n:], d)
+        return [], ((d, x) if _is_scaled_inverse(ai, x, d) else None)
+    kernel = _lifted_kernel(_rows(a), m[:r, :n].tolist(), pivots)
     if kernel is None:
         return None, None
     eta = n - r
@@ -470,8 +501,8 @@ def _modular_bordered(a, ai=None):
         d = p - d
     x = np.empty((size, size), dtype=np.int64)
     x[order] = g[:, size:]
-    ok, d, x = _lift_and_check(mi, x, np.int64(d))
-    return kernel, ((int(d), x) if ok else None)
+    d, x = _lift(x, d)
+    return kernel, ((d, x) if _is_scaled_inverse(mi, x, d) else None)
 
 
 def _lifted_kernel(a, rref, pivots) -> "list[list[int]] | None":
@@ -536,23 +567,42 @@ def _rational(r: int, p: int, bound: int) -> "tuple[int, int] | None":
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _lift_and_check(a, inverse, d):
-    """Lift det(A) and adj(A) = d A^-1 from their residues modulo p.
-
-    ``inverse`` holds A^-1 modulo p and ``d`` det(A) modulo p, for one
-    matrix or for a stack of them (leading axes).  Both are lifted into
-    (-p/2, p/2) and checked as d != 0 and A X = d I in int64; that holds
-    exactly when A is invertible and X is d A^-1.  With |X| < p/2 and
-    absolute row sums of A at most 2**31 no product leaves int64.  Returns
-    (ok, d, X).
-    """
+def _lift(inverse, d):
+    """(d, X): det(A) and adj(A) = d A^-1 lifted into (-p/2, p/2) from
+    ``inverse``, A^-1 modulo p, and ``d``, det(A) modulo p, for one matrix
+    (d an int, returned as an int) or for a stack of them (leading axes, d
+    an int64 array).  Nothing is certified until A X = d I is checked."""
     p = MODULUS
+    d = np.asarray(d, dtype=np.int64)
     x = inverse * d[..., None, None] % p
     x -= p * (x > p // 2)
     d = d - p * (d > p // 2)
-    eye = np.eye(a.shape[-1], dtype=np.int64)
-    ok = (d != 0) & (a @ x == d[..., None, None] * eye).all(axis=(-2, -1))
-    return ok, d, x
+    return (int(d) if d.ndim == 0 else d), x
+
+
+def _is_scaled_inverse(a, x, d: int) -> bool:
+    """d != 0 and A X = d I, decided exactly: then A is invertible and X is
+    d A^-1.  A is one matrix (int64 or float64) whose absolute row sums are
+    at most 2**31, X an int64 array with |X| < p/2 (:func:`_exact_product`)."""
+    return d != 0 and bool(
+        (_exact_product(a, x) == d * np.eye(len(x), dtype=np.int64)).all())
+
+
+def _exact_product(a, x) -> np.ndarray:
+    """A X in int64, exactly, from two float64 BLAS products.
+
+    A has absolute row sums of at most 2**31 and X is an int64 array with
+    |X| < 2**30.  X splits into X = 2**15 X_hi + X_lo with 0 <= X_lo < 2**15
+    and |X_hi| <= 2**15, so every product and every partial sum of A X_hi
+    and of A X_lo is an integer of absolute value at most
+    2**31 * 2**15 = 2**46 < 2**53: each float64 product is exact in any
+    summation order, and 2**15 A X_hi + A X_lo stays below 2**62 in int64.
+    (numpy's int64 ``@`` gives the same matrix without BLAS, several times
+    slower.)"""
+    a = np.asarray(a, dtype=np.float64)
+    high = a @ (x >> 15).astype(np.float64)
+    low = a @ (x & 0x7FFF).astype(np.float64)
+    return (high.astype(np.int64) << 15) + low.astype(np.int64)
 
 
 # verdicts of modular_adjugates, one per matrix of the stack
@@ -602,17 +652,22 @@ def modular_adjugates(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # columns left of c are unit vectors with a zero in row c, and
         # column c is never read again: only columns c+1.. need the update
         right = m[:, :, c + 1:]
-        # a column's pivots take few distinct values (mostly all 1)
+        # a column's pivots take few distinct values (mostly all 1); a
+        # matrix without a pivot here is scaled by 0 and sorted out at the end
         values, which = np.unique(pivot, return_inverse=True)
-        inverse = np.array([pow(v, p - 2, p) for v in values.tolist()],
-                           dtype=np.int64)
+        inverse = np.array([pow(v, -1, p) if v else 0
+                            for v in values.tolist()], dtype=np.int64)
         right[:, c] = right[:, c] * inverse[which][:, None] % p
         col = m[:, :, c].copy()
         col[:, c] = 0
         right -= col[:, :, None] * right[:, c, None, :]
         right %= p
-    # d is the product of the pivots: zero exactly when a column had none
-    ok, d, x = _lift_and_check(a, m[:, :, n:], d)
+    # d is the product of the pivots: zero exactly when a column had none.
+    # With |X| < p/2 and absolute row sums of A at most 2**31 no product of
+    # the int64 check leaves int64.
+    d, x = _lift(m[:, :, n:], d)
+    ok = (d != 0) & (a @ x == d[:, None, None] * np.eye(n, dtype=np.int64)
+                     ).all(axis=(1, 2))
     status = np.where(ok, ADJUGATE, UNDECIDED)
     squares = (a * a).sum(axis=2)
     for k in np.flatnonzero(d == 0):

@@ -307,10 +307,11 @@ def conduction_by_rules(g: Graph) -> ConductionGraph:
     eta = sub_nullity(g, 0)
     single = [sub_nullity(g, 1 << v) for v in range(n)]
     jtest = make_jtester(g, eta)
-    verdicts = {}
+    walked = []
     rows = [0] * n
     loops = 0
     for u in range(n):
+        walked.append([])
         for v in range(u, n):
             sig = NullitySignature(
                 eta, single[u], single[v],
@@ -318,13 +319,13 @@ def conduction_by_rules(g: Graph) -> ConductionGraph:
             dv = _verdict_from_signature(u, v, sig, jtest)
             if u != v and eta == 1 and single[u] == single[v] == 0:
                 dv = DeviceVerdict(dv.conducts, Rule.NULLITY1_BLOCKS)
-            verdicts[(u, v)] = dv
+            walked[u].append(dv)
             if dv.conducts and u == v:
                 loops |= 1 << u
             elif dv.conducts:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return ConductionGraph(Graph(n, rows, loops), verdicts, eta)
+    return ConductionGraph(Graph(n, rows, loops), walked, eta)
 
 
 def class_code_by_distances(g: Graph, cg: ConductionGraph) -> ClassCode:

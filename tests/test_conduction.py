@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from condgraph import linalg
+from condgraph import conduction, linalg
 from condgraph.census import enumerate_connected
 from condgraph.classify import is_uniform_core_graph
 from condgraph.conduction import (BorderedAdjugate, ConductionGraph, DeviceVerdict,
-                                  Rule, analyse, booleanise, conduction_graph,
-                                  device_verdict, graph_nullity,
+                                  Rule, SignatureError, analyse, booleanise,
+                                  conduction_graph, device_verdict, graph_nullity,
                                   inverse_conduction_pattern, nullity_signature)
 from condgraph.families import min_deg2_graph
 from condgraph.fixtures import fixture
@@ -186,6 +186,62 @@ def test_conduction_graph_verdict_consistency():
         for v in range(u + 1, 4):
             assert cg.verdict(u, v).conducts == cg.graph.has_edge(u, v)
             assert cg.verdict(v, u) == cg.verdict(u, v)
+
+
+def test_verdicts_are_built_when_first_read():
+    # construction keeps the graph, and the walk's verdicts for a singular
+    # graph; verdict(u, v) answers without the dict, which is built once,
+    # on first read, from the same shared constants
+    shared = {id(v) for v in (*conduction._ROW_VERDICT.values(),
+                              *conduction._JTEST_VERDICT.values(),
+                              conduction._BLOCKS_VERDICT,
+                              *conduction._INVERSE_VERDICT)}
+    for g in (min_deg2_graph(16), fixture("fig6reg24"), cycle_graph(40),
+              path_graph(41), cycle_graph(6), path_graph(5)):
+        cg = conduction_graph(g)
+        answers = {(u, v): cg.verdict(v, u)
+                   for u in range(g.n) for v in range(u, g.n)}
+        assert "verdicts" not in vars(cg), g
+        assert cg.verdicts == answers and cg.verdicts is cg.verdicts, g
+        assert all(cg.verdicts[k] is dv for k, dv in answers.items()), g
+        assert {id(dv) for dv in answers.values()} <= shared, g
+        for u in range(g.n):
+            assert answers[(u, u)].conducts == cg.graph.has_loop(u)
+            for v in range(u + 1, g.n):
+                assert answers[(u, v)].conducts == cg.graph.has_edge(u, v)
+        with pytest.raises(KeyError):
+            cg.verdict(0, g.n)
+
+
+class _ImpossibleShift(BorderedAdjugate):
+    """An analysis whose deletion nullities break interlacing: every single
+    deletion by ``single`` and every double deletion by ``double``."""
+
+    __slots__ = ("single", "double")
+
+    def __init__(self, analysis, single, double):
+        super().__init__(analysis.n, analysis.adj)
+        self.single, self.double = single, double
+
+    def nullity(self, *deleted):
+        shift = (0, self.single, self.double)[len(deleted)]
+        return super().nullity(*deleted) + shift
+
+
+def test_impossible_shift_raises_at_construction():
+    # C4 has nullity 2 and four core vertices, so the walk asks for every
+    # double deletion.  Raising those by 3 leaves eta(G-u-v) - eta in 1..3
+    # after single shifts of -1, and raising the single deletions by 3 gives
+    # the ipso shift 2; neither fits a row of the table, and conduction_graph
+    # raises before any verdict is read
+    c4 = cycle_graph(4)
+    analysis = analyse(c4)
+    assert conduction_graph(c4, _ImpossibleShift(analysis, 0, 0)).graph \
+        == conduction_graph(c4).graph
+    for single, double, shifts in ((0, 3, r"\(-1, -1, [123]\)"),
+                                   (3, 0, r"\(2,\)")):
+        with pytest.raises(SignatureError, match=shifts):
+            conduction_graph(c4, _ImpossibleShift(analysis, single, double))
 
 
 def test_route_agreement_exhaustive_small(connected_upto_7):

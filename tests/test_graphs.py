@@ -2,11 +2,13 @@
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condgraph.graphs import (Graph, Graph6Error, adjacency_matrix, bfs_distances,
+from condgraph.graphs import (Graph, Graph6Error, adjacency_array,
+                              adjacency_matrix, bfs_distances,
                               bipartition, complete_graph, cycle_graph,
                               degree_sequence, from_graph6, graph_from_adjacency,
                               connected_components, is_bipartite, is_chemical,
@@ -92,6 +94,25 @@ def test_adjacency_matrix_examples():
     assert adjacency_matrix(k1_loop) == [[2]]
     c4 = adjacency_matrix(cycle_graph(4))
     assert c4 == [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+
+
+def test_adjacency_array_unpacks_the_rows(connected_upto_7):
+    # one graph gives its (n, n) matrix and a list of one order its stack,
+    # both equal to adjacency_matrix; at order 64 vertex 63 is the top bit
+    # of its neighbours' rows and vertex 0 the bottom bit of vertex 63's
+    for n in range(1, 8):
+        graphs = connected_upto_7[n]
+        stack = adjacency_array(graphs)
+        assert stack.dtype == np.int64 and stack.shape == (len(graphs), n, n)
+        for g, a in zip(graphs, stack):
+            assert a.tolist() == adjacency_array(g).tolist() == adjacency_matrix(g)
+    edges = [(i, i + 1) for i in range(63)] + [(0, 63), (5, 63)]
+    big = Graph.from_edges(64, edges)
+    a = adjacency_array(big)
+    assert a.shape == (64, 64) and a[0, 63] == a[63, 0] == 1
+    assert a.tolist() == adjacency_matrix(big)
+    assert adjacency_array([big, cycle_graph(64)])[1].tolist() \
+        == adjacency_matrix(cycle_graph(64))
 
 
 def test_graph_from_adjacency_round_trip():

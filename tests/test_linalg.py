@@ -584,6 +584,45 @@ def test_wrong_lapack_determinant_is_refused_or_still_exact(monkeypatch):
         inverses.clear()
 
 
+def test_exact_product_at_the_bounds_of_the_limb_split():
+    # every absolute row sum exactly 2**31, the guard's bound, and X with
+    # entries +-(p // 2), negative ones included.  A = 2**25 H for the
+    # Sylvester-Hadamard H of order 64 and X = c H^T with c = p // 2 give
+    # A X = 64 * 2**25 * c I = d I with d = 2**31 c, close to 2**61.  The two
+    # float64 limb products give the Python-int product A X for that pair
+    # and for a random B and Y of the same bounds, where a single float64
+    # product rounds; an X off by 1 or -1 in one entry, or a wrong d, is
+    # refused.
+    h = MODULUS // 2
+    sylvester = np.ones((1, 1), dtype=np.int64)
+    for _ in range(6):
+        sylvester = np.kron(np.array([[1, 1], [1, -1]]), sylvester)
+    a = sylvester << 25
+    x = h * sylvester.T
+    d = (1 << 31) * h
+    rng = np.random.default_rng(20)
+    b = rng.integers(0, 1 << 25, (64, 64))
+    b[:, -1] = 0
+    b[:, -1] = linalg._MAX_ROW_SUM - b.sum(axis=1)
+    b *= rng.choice([-1, 1], (64, 64))
+    y = rng.integers(-h, h, (64, 64), endpoint=True)
+    y[0, :4] = (-h, h, -1, -(1 << 15))
+    for m in (a, b):
+        assert np.abs(m).sum(axis=1).tolist() == [linalg._MAX_ROW_SUM] * 64
+    for m, z in ((a, x), (b, y)):
+        assert linalg._exact_product(m, z).tolist() \
+            == mat_mul(m.tolist(), z.tolist())
+    assert (b.astype(float) @ y.astype(float)).astype(np.int64).tolist() \
+        != mat_mul(b.tolist(), y.tolist())
+    assert linalg._is_scaled_inverse(a, x, d)
+    for step in (1, -1):
+        off = x.copy()
+        off[17, 40] += step
+        assert not linalg._is_scaled_inverse(a, off, d)
+    assert not linalg._is_scaled_inverse(a, x, d + 1)
+    assert not linalg._is_scaled_inverse(a, 0 * x, 0)
+
+
 def test_singular_matrix_pays_no_lapack_inverse(monkeypatch):
     # LAPACK's determinant of these singular graphs rounds to 0, so no
     # inverse is formed and the one modular pass finds the kernel
