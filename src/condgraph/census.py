@@ -516,7 +516,7 @@ def run_census(source, record_all: bool = False, on_skip=None):
                 summary.add(g.n, False, False)
                 continue
             rec = census_record(g, None if x is None
-                                else BorderedAdjugate(g.n, x.tolist()))
+                                else BorderedAdjugate(g.n, x))
             if not record_all:
                 check_theorem(rec.cond_iso,
                               f"screen positive {rec.graph6} fails its record")

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import linalg
 from .conduction import (BorderedAdjugate, ConductionGraph, analyse,
-                         conduction_graph, inverse_conduction_pattern)
+                         conduction_graph, inverse_conduction_pattern,
+                         nonzero_pattern)
 from .graphs import Graph, adjacency_array, is_bipartite, is_connected
 # TheoremCheckError and check_theorem live in isomorphism, which verifies
 # witnesses with them; they stay importable from here
@@ -200,16 +201,15 @@ def conduction_isomorphisms(graphs, stacks=None) -> list[list[int] | None]:
     if stacks is None:
         stacks = stacked_adjugates(graphs)
     out = [None] * len(graphs)
-    for n, (where, a, status, x) in stacks.items():
+    for where, a, status, x in stacks.values():
         pattern = x != 0
         survives = ((status == linalg.ADJUGATE)
                     & ~pattern.diagonal(axis1=1, axis2=2).any(axis=1)
                     & (np.sort(pattern.sum(axis=2), axis=1)
                        == np.sort(a.sum(axis=2), axis=1)).all(axis=1))
-        bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
         for k in np.flatnonzero(survives):
-            rows = (pattern[k] * bits).sum(axis=1).tolist()
-            out[where[k]] = _isomorphism_onto(graphs[where[k]], rows, 0)
+            out[where[k]] = _isomorphism_onto(graphs[where[k]],
+                                              *nonzero_pattern(x[k]))
         for k in np.flatnonzero(status == linalg.UNDECIDED):
             g = graphs[where[k]]
             try:

@@ -185,12 +185,8 @@ class ConductionGraph:
     @cached_property
     def verdicts(self) -> dict:
         """Every device's verdict, keyed by (u, v) with u <= v."""
-        if self.walked is not None:
-            return {(u, v): dv for u, row in enumerate(self.walked)
-                    for v, dv in enumerate(row, u)}
-        n, rows, loops = self.graph.n, self.graph.rows, self.graph.loops
-        return {(u, v): _INVERSE_VERDICT[
-                    (loops >> u if u == v else rows[u] >> v) & 1]
+        n = self.graph.n
+        return {(u, v): self.verdict(u, v)
                 for u in range(n) for v in range(u, n)}
 
     def verdict(self, u: int, v: int) -> DeviceVerdict:
@@ -391,7 +387,7 @@ def analyse(g: Graph, *contacts: int) -> BorderedAdjugate:
     given, must be vertices of g."""
     _require_device(g, *contacts)
     return BorderedAdjugate(
-        g.n, linalg.bordered_inverse(_matrix(g), as_lists=False)[2])
+        g.n, linalg.bordered_inverse(_matrix(g))[2])
 
 
 def _matrix(g: Graph):
@@ -428,7 +424,7 @@ def conduction_graph(g: Graph,
         graph, walked = _walk(analysis)
         return ConductionGraph(graph, walked, analysis.eta, analysis)
     x = analysis.adj if analysis.matrix is None else analysis.matrix
-    return ConductionGraph(Graph(g.n, *_pattern(x)), None, 0)
+    return ConductionGraph(Graph(g.n, *nonzero_pattern(x)), None, 0)
 
 
 def _walk(analysis: BorderedAdjugate) -> tuple[Graph, list]:
@@ -483,15 +479,16 @@ def inverse_conduction_pattern(g: Graph) -> tuple[list[int], int]:
     :func:`linalg.bordered_inverse`, which equals the inverse's, so the whole
     computation stays in the integers.  A singular graph raises
     :class:`~condgraph.linalg.SingularMatrixError` with the kernel basis the
-    same call found.
+    same call found; from ``MODULAR_MIN_ORDER`` on, where A is unpacked from
+    the rows, a graph with loops raises ValueError.
     """
-    kernel, _, x = linalg.bordered_inverse(_matrix(g), as_lists=False)
+    kernel, _, x = linalg.bordered_inverse(_matrix(g))
     if kernel:
         raise linalg.SingularMatrixError(kernel)
-    return _pattern(x)
+    return nonzero_pattern(x)
 
 
-def _pattern(x) -> tuple[list[int], int]:
+def nonzero_pattern(x) -> tuple[list[int], int]:
     """Adjacency rows and loop mask of the nonzero pattern of a symmetric
     matrix: in numpy for an int64 array, by a walk over the entries for
     lists (the exact route's, whose ints may not fit int64)."""

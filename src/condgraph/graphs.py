@@ -192,10 +192,13 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
 def adjacency_array(graphs: "Graph | Sequence[Graph]") -> np.ndarray:
     """The int64 adjacency matrix of a simple graph, shape (n, n), or the
     (B, n, n) stack of those of a non-empty sequence of B simple graphs of
-    one order, unpacked in numpy from the 64-bit words of their rows (the
-    loop set is not read).  Equal to :func:`adjacency_matrix` of each."""
+    one order, unpacked in numpy from the 64-bit words of their rows.  Equal
+    to :func:`adjacency_matrix` of each; a graph with loops, whose diagonal
+    the rows do not hold, raises ValueError."""
     if isinstance(graphs, Graph):
         return adjacency_array([graphs])[0]
+    if any(g.loops for g in graphs):
+        raise ValueError("adjacency_array needs simple graphs (no loops)")
     n = graphs[0].n
     words = np.frombuffer(b"".join(g.rows for g in graphs), dtype=np.uint64)
     # little-endian bytes put vertex j at bit j % 8 of byte j // 8

@@ -250,8 +250,8 @@ MODULUS = (1 << 31) - 1
 _MAX_ROW_SUM = 1 << 31
 
 
-def bordered_inverse(a, as_lists: bool = True
-                     ) -> tuple[list[list[int]], int, "list[list[int]] | np.ndarray"]:
+def bordered_inverse(a) -> tuple[list[list[int]], int,
+                                 "list[list[int]] | np.ndarray"]:
     """(Z, d, X) for a symmetric integer matrix A: Z its kernel basis (as
     :func:`kernel_basis` gives it, empty when A is nonsingular) and
     X = d M^-1 with d != 0 for the bordered matrix M = [[A, Z], [Z^T, 0]],
@@ -262,8 +262,8 @@ def bordered_inverse(a, as_lists: bool = True
     exact as well.
 
     A is a list of rows or an int64 array, such as
-    :func:`graphs.adjacency_array` of a graph.  X comes back as lists of
-    Python ints; with ``as_lists`` false, an X that a numpy route decided
+    :func:`graphs.adjacency_array` of a graph.  For lists X comes back as
+    lists of Python ints; for an array, an X that a numpy route decided
     stays the int64 array it was checked as (the exact routes give lists).
 
     From order :data:`MODULAR_MIN_ORDER` on A is guarded once, a list's
@@ -294,7 +294,8 @@ def bordered_inverse(a, as_lists: bool = True
             found = _lapack_inverse(ai)
             kernel, found = ([], found) if found else _modular_bordered(a, ai)
         if found is not None:
-            return kernel, found[0], (found[1].tolist() if as_lists else found[1])
+            x = found[1]
+            return kernel, found[0], x if hasattr(a, "dtype") else x.tolist()
         a = _rows(a)
         if kernel is None:
             kernel = kernel_basis(a)

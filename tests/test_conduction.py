@@ -462,6 +462,15 @@ def test_inverse_pattern_of_a_singular_graph_raises_its_kernel(monkeypatch):
             assert counts == {"_modular_echelon": 1, "_echelon": 0}, g
 
 
+def test_graph_with_loops_is_refused_from_the_numpy_order():
+    # from MODULAR_MIN_ORDER on A is unpacked from the rows, which do not
+    # hold the diagonal: a graph with loops raises instead of getting the
+    # pattern of a different matrix
+    g = Graph.from_edges(16, [(i, i + 1) for i in range(15)], loops=[0])
+    with pytest.raises(ValueError):
+        inverse_conduction_pattern(g)
+
+
 # ---------------------------------------------------------------------------
 # modular adjugates and their exact fallback
 # ---------------------------------------------------------------------------

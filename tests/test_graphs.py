@@ -113,6 +113,11 @@ def test_adjacency_array_unpacks_the_rows(connected_upto_7):
     assert a.tolist() == adjacency_matrix(big)
     assert adjacency_array([big, cycle_graph(64)])[1].tolist() \
         == adjacency_matrix(cycle_graph(64))
+    # the rows hold no diagonal, so a graph with loops is refused
+    looped = Graph.from_edges(3, [(0, 1)], loops=[2])
+    for graphs in (looped, [path_graph(3), looped]):
+        with pytest.raises(ValueError):
+            adjacency_array(graphs)
 
 
 def test_graph_from_adjacency_round_trip():

@@ -13,8 +13,9 @@ from condgraph import linalg
 from condgraph.census import enumerate_chemical, enumerate_connected
 from condgraph.families import min_deg2_graph
 from condgraph.fixtures import fixture
-from condgraph.graphs import (adjacency_matrix, complete_bipartite_graph,
-                              complete_graph, cycle_graph, path_graph)
+from condgraph.graphs import (adjacency_array, adjacency_matrix,
+                              complete_bipartite_graph, complete_graph,
+                              cycle_graph, path_graph)
 from condgraph.linalg import (MODULUS, IntPolynomial, SingularMatrixError,
                               char_poly, char_poly_and_adjugate, det,
                               bordered_inverse, float_spectrum, kernel_basis,
@@ -279,6 +280,18 @@ def test_bordered_inverse_is_the_adjugate_on_large_graphs(monkeypatch):
         assert _assert_bordered_inverse(A(fixture("fig6reg24")), half) == []
         for k in range(2, 17):
             assert _assert_bordered_inverse(A(min_deg2_graph(k)), half) == []
+
+
+def test_bordered_inverse_returns_x_as_its_input_came():
+    # lists give lists of Python ints; an int64 array keeps the array that a
+    # numpy route checked (LAPACK's proposal, or the modular route for C40)
+    g = min_deg2_graph(16)
+    _, d, x = linalg.bordered_inverse(A(g))
+    assert isinstance(x, list) and type(x[0][0]) is int
+    _, d_array, x_array = linalg.bordered_inverse(adjacency_array(g))
+    assert x_array.dtype == np.int64 and (d_array, x_array.tolist()) == (d, x)
+    kernel, _, x = linalg.bordered_inverse(adjacency_array(cycle_graph(40)))
+    assert len(kernel) == 2 and x.dtype == np.int64 and x.shape == (42, 42)
 
 
 def _assert_singular(a):
